@@ -1,5 +1,6 @@
 // Benchmarks regenerating every reproduced figure and table (one bench per
-// artifact; see DESIGN.md's experiment index), plus micro-benchmarks of the
+// artifact; `go run ./cmd/fastbft-bench -list` prints the experiment
+// index), plus micro-benchmarks of the
 // substrates. Run them all with:
 //
 //	go test -bench=. -benchmem
@@ -620,9 +621,8 @@ func BenchmarkCodec(b *testing.B) {
 	b.SetBytes(int64(len(encoded)))
 }
 
-// BenchmarkSMRBatchingAblation is the batching ablation called out in
-// DESIGN.md: replicated-write cost per command as the leader's batch size
-// grows. Larger batches amortize the two consensus rounds.
+// BenchmarkSMRBatchingAblation is the batching ablation: replicated-write
+// cost per command as the leader's batch size grows. Larger batches amortize the two consensus rounds.
 func BenchmarkSMRBatchingAblation(b *testing.B) {
 	cfg := types.Generalized(1, 1)
 	for _, batch := range []int{1, 8, 32} {

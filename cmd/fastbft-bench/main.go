@@ -1,7 +1,7 @@
 // Command fastbft-bench regenerates every reproduced figure and table of
 // "Revisiting Optimal Resilience of Fast Byzantine Consensus" (PODC 2021).
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results.
+// -list prints the experiment index; every experiment runs in the
+// deterministic simulator, so its output is reproducible bit for bit.
 //
 // Usage:
 //

@@ -24,7 +24,7 @@
 //     matching-reply confirmation, and server-side exactly-once execution
 //     via per-client session tables).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// See README.md for the system inventory and cmd/fastbft-bench for the
 // reproduction of every figure and table of the paper.
 package fastbft
 

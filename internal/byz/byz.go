@@ -49,12 +49,13 @@ func (f *Forger) Propose(x types.Value, v types.View, cert *msg.ProgressCert) *m
 
 // Ack builds an acknowledgment for (x, v).
 func (f *Forger) Ack(x types.Value, v types.View) *msg.Ack {
-	return &msg.Ack{View: v, X: x.Clone()}
+	return &msg.Ack{View: v, D: msg.ValueDigest(x)}
 }
 
 // AckSig builds a slow-path ack signature for (x, v).
 func (f *Forger) AckSig(x types.Value, v types.View) *msg.AckSig {
-	return &msg.AckSig{View: v, X: x.Clone(), Phi: f.signer.Sign(msg.AckDigest(x, v))}
+	d := msg.ValueDigest(x)
+	return &msg.AckSig{View: v, D: d, Phi: f.signer.Sign(msg.AckDigest(d, v))}
 }
 
 // SignedVote builds a signed vote with an arbitrary record for new view v.
@@ -74,7 +75,8 @@ func (f *Forger) Vote(vr msg.VoteRecord, v types.View) *msg.Vote {
 // CertAck builds an endorsement signature for (x, v) — a Byzantine process
 // may endorse anything.
 func (f *Forger) CertAck(x types.Value, v types.View) *msg.CertAck {
-	return &msg.CertAck{View: v, X: x.Clone(), Phi: f.signer.Sign(msg.CertAckDigest(x, v))}
+	d := msg.ValueDigest(x)
+	return &msg.CertAck{View: v, D: d, Phi: f.signer.Sign(msg.CertAckDigest(d, v))}
 }
 
 // Wish builds a view-synchronization wish.

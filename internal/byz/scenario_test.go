@@ -335,21 +335,21 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 				if !ok || s != 0 {
 					return
 				}
-				var x types.Value
+				var d msg.Digest
 				switch a := m.(type) {
 				case *msg.Ack:
-					x = a.X
+					d = a.D
 				case *msg.AckSig:
-					x = a.X
+					d = a.D
 				default:
 					return
 				}
 				tapMu.Lock()
 				defer tapMu.Unlock()
-				if x.Equal(valueA) {
+				if d == msg.ValueDigest(valueA) {
 					acksA++
 				}
-				if x.Equal(valueB) {
+				if d == msg.ValueDigest(valueB) {
 					acksB++
 				}
 			})

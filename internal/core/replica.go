@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/quorum"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/types"
 )
 
-// maxTrackedKeys bounds the number of (view, value) pairs for which a
+// maxTrackedKeys bounds the number of (view, value digest) pairs for which a
 // replica accumulates ack, ack-signature, or commit counters. Correct
 // processes generate one pair per view; the cap only limits how much junk
 // state f Byzantine senders can force a correct process to hold.
@@ -34,10 +35,20 @@ type adoptedProposal struct {
 	tau   sigcrypto.Signature
 }
 
-// voteKey indexes per-(view, value) tallies.
+// voteKey indexes per-(view, value digest) tallies.
 type voteKey struct {
-	view  types.View
-	value string
+	view   types.View
+	digest msg.Digest
+}
+
+// awaitedQuorum is a quorum that is complete for a digest whose value the
+// replica has not seen: a fast quorum of acks (fast) or a commit quorum of
+// ack signatures. Acks name values only by digest, so deciding (or building
+// the commit certificate) waits until a value hashing to the digest arrives,
+// in a Propose or in a Commit's certificate.
+type awaitedQuorum struct {
+	key  voteKey
+	fast bool
 }
 
 // senderSet counts distinct senders.
@@ -48,6 +59,7 @@ type leaderState struct {
 	votes         map[types.ProcessID]msg.SignedVote
 	certRequested bool
 	selected      types.Value
+	selectedHash  msg.Digest
 	certVotes     []msg.SignedVote
 	certAcks      *sigcrypto.Set
 	proposed      bool
@@ -92,6 +104,21 @@ type Replica struct {
 	commits    map[voteKey]senderSet
 	commitSent map[voteKey]bool
 
+	// values holds every value the replica has seen with a verified
+	// digest: proposals it accepted, certificate values, and values
+	// supplied for an awaited digest. Each entry is backed by a leader
+	// signature or by a quorum with a correct member, so the map grows by
+	// at most a few entries per view.
+	values   map[msg.Digest]types.Value
+	awaiting []awaitedQuorum
+	// hashed memoizes the last ValueDigest computed (a private copy of the
+	// value and its digest): within a slot the Propose, every Commit and
+	// every CertRequest normally carry one value, which is then hashed once.
+	hashed struct {
+		x types.Value
+		d msg.Digest
+	}
+
 	leader  *leaderState
 	pending map[types.View][]pendingMsg
 	nPend   int
@@ -117,6 +144,7 @@ func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, v
 		ackSigs:    make(map[voteKey]*sigcrypto.Set),
 		commits:    make(map[voteKey]senderSet),
 		commitSent: make(map[voteKey]bool),
+		values:     make(map[msg.Digest]types.Value),
 		pending:    make(map[types.View][]pendingMsg),
 	}, nil
 }
@@ -205,16 +233,20 @@ func (r *Replica) RestoreVoteState(acks map[types.View]types.Value, adopted *msg
 			cert:  adopted.Cert.Clone(),
 			tau:   adopted.Tau.Clone(),
 		}
+		r.remember(r.digestOf(r.adopted.value), r.adopted.value)
 	}
 	if adopted != nil && adopted.CC != nil {
 		r.updateLatestCC(adopted.CC)
+		r.remember(r.digestOf(adopted.CC.Value), adopted.CC.Value)
 	}
 }
 
 // Init starts the protocol: every process begins in view 1, and leader(1)
-// immediately proposes its input (Section 3).
+// immediately proposes its input (Section 3). It is a no-op once view 1 is
+// entered — Process.Init reaches view 1 through the synchronizer first, and
+// entering it again would re-send the proposal and re-ack it.
 func (r *Replica) Init() []Action {
-	return r.enterView(1)
+	return r.EnterView(1)
 }
 
 // EnterView advances the replica to view v (driven by the view
@@ -336,19 +368,17 @@ func (r *Replica) broadcast(m msg.Message) []Action {
 // ---------------------------------------------------------------------------
 
 func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
+	leader := m.View.Leader(r.cfg.N)
 	switch {
+	case from != leader && from != r.id:
+		return nil
 	case m.View > r.view:
 		r.buffer(from, m)
-		return nil
-	case m.View < r.view:
-		return nil
-	}
-	leader := m.View.Leader(r.cfg.N)
-	if from != leader && from != r.id {
-		return nil
-	}
-	if r.acked {
-		return nil // at most one ack per view
+		return r.supply(m.X)
+	case m.View < r.view || r.acked:
+		// Nothing to ack (at most one ack per view), but the proposal may
+		// carry a value an ack quorum is waiting for.
+		return r.supply(m.X)
 	}
 	if m.Tau.Signer != leader || !r.verifier.Verify(msg.ProposeDigest(m.X, m.View), m.Tau) {
 		return nil
@@ -366,6 +396,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	// Accept: adopt the vote (before sending the ack, per Section 3.2), then
 	// acknowledge to every process, attaching the slow-path signature in a
 	// separate message so the fast path is never delayed by extra signing.
+	// Both name the value by digest: every process received it here.
 	r.acked = true
 	r.adopted = &adoptedProposal{
 		value: m.X.Clone(),
@@ -373,15 +404,18 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 		cert:  m.Cert.Clone(),
 		tau:   m.Tau.Clone(),
 	}
+	d := r.digestOf(m.X)
+	r.remember(d, r.adopted.value)
 	var out []Action
-	out = append(out, r.broadcast(&msg.Ack{View: m.View, X: m.X})...)
-	phi := r.signer.Sign(msg.AckDigest(m.X, m.View))
-	out = append(out, r.broadcast(&msg.AckSig{View: m.View, X: m.X, Phi: phi})...)
-	return out
+	out = append(out, r.broadcast(&msg.Ack{View: m.View, D: d})...)
+	phi := r.signer.Sign(msg.AckDigest(d, m.View))
+	out = append(out, r.broadcast(&msg.AckSig{View: m.View, D: d, Phi: phi})...)
+	// Quorums of other views that waited for this value complete now.
+	return append(out, r.complete(d)...)
 }
 
 func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
-	key := voteKey{view: m.View, value: string(m.X)}
+	key := voteKey{view: m.View, digest: m.D}
 	set, ok := r.acks[key]
 	if !ok {
 		if len(r.acks) >= maxTrackedKeys {
@@ -391,59 +425,150 @@ func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
 		r.acks[key] = set
 	}
 	set[from] = struct{}{}
-	if len(set) >= r.th.FastQuorum() {
-		return r.decide(m.X, m.View, types.FastPath)
+	if len(set) < r.th.FastQuorum() || r.decided {
+		return nil
 	}
-	return nil
+	x, known := r.values[key.digest]
+	if !known {
+		r.await(awaitedQuorum{key: key, fast: true})
+		return nil
+	}
+	return r.decide(x, key.view, types.FastPath)
 }
 
 func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 	if m.Phi.Signer != from {
 		return nil
 	}
-	key := voteKey{view: m.View, value: string(m.X)}
+	key := voteKey{view: m.View, digest: m.D}
 	set, ok := r.ackSigs[key]
 	if !ok {
 		if len(r.ackSigs) >= maxTrackedKeys {
 			return nil
 		}
-		set = sigcrypto.NewSet(msg.AckDigest(m.X, m.View))
+		set = sigcrypto.NewSet(msg.AckDigest(m.D, m.View))
 		r.ackSigs[key] = set
 	}
 	if !set.Add(r.verifier, m.Phi) {
 		return nil
 	}
-	if set.Len() >= r.th.CommitQuorum() && !r.commitSent[key] {
-		r.commitSent[key] = true
-		cc := &msg.CommitCert{Value: m.X.Clone(), View: m.View, Sigs: set.Signatures()}
-		r.updateLatestCC(cc)
-		return r.broadcast(&msg.Commit{View: m.View, X: m.X, CC: *cc})
+	if set.Len() < r.th.CommitQuorum() {
+		return nil
 	}
-	return nil
+	return r.formCommit(key)
+}
+
+// formCommit assembles the commit certificate of a complete ack-signature
+// quorum and broadcasts it, once per (view, digest). The certificate
+// carries the value, so it waits until the value is known.
+func (r *Replica) formCommit(key voteKey) []Action {
+	if r.commitSent[key] {
+		return nil
+	}
+	x, known := r.values[key.digest]
+	if !known {
+		r.await(awaitedQuorum{key: key})
+		return nil
+	}
+	r.commitSent[key] = true
+	cc := &msg.CommitCert{Value: x.Clone(), View: key.view, Sigs: r.ackSigs[key].Signatures()}
+	r.updateLatestCC(cc)
+	return r.broadcast(&msg.Commit{CC: *cc})
 }
 
 func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
-	if !m.CC.Value.Equal(m.X) || m.CC.View != m.View {
+	cc := &m.CC
+	d := r.digestOf(cc.Value)
+	if !cc.VerifyDigest(r.verifier, r.th, d) {
 		return nil
 	}
-	if !m.CC.Verify(r.verifier, r.th) {
-		return nil
-	}
-	r.updateLatestCC(&m.CC)
-	key := voteKey{view: m.View, value: string(m.X)}
+	r.updateLatestCC(cc)
+	out := r.learn(d, cc.Value)
+	key := voteKey{view: cc.View, digest: d}
 	set, ok := r.commits[key]
 	if !ok {
 		if len(r.commits) >= maxTrackedKeys {
-			return nil
+			return out
 		}
 		set = make(senderSet)
 		r.commits[key] = set
 	}
 	set[from] = struct{}{}
 	if len(set) >= r.th.CommitQuorum() {
-		return r.decide(m.X, m.View, types.SlowPath)
+		out = append(out, r.decide(cc.Value, cc.View, types.SlowPath)...)
+	}
+	return out
+}
+
+// digestOf returns ValueDigest(x), reusing the last digest computed when x
+// is the same value: comparing bytes is far cheaper than hashing them.
+func (r *Replica) digestOf(x types.Value) msg.Digest {
+	if r.hashed.x != nil && r.hashed.x.Equal(x) {
+		return r.hashed.d
+	}
+	d := msg.ValueDigest(x)
+	r.hashed.x, r.hashed.d = x.Clone(), d
+	return d
+}
+
+// remember records x as the value with digest d = ValueDigest(x).
+func (r *Replica) remember(d msg.Digest, x types.Value) {
+	if _, ok := r.values[d]; !ok {
+		r.values[d] = x.Clone()
+	}
+}
+
+// learn records x under d = ValueDigest(x) and completes every quorum that
+// was waiting for it.
+func (r *Replica) learn(d msg.Digest, x types.Value) []Action {
+	r.remember(d, x)
+	return r.complete(d)
+}
+
+// supply hands over a value from a message the replica does not otherwise
+// act on. It hashes the value only while some quorum awaits one, and the
+// value is taken only if its digest is awaited: the hash binds it, so the
+// sender need not be trusted.
+func (r *Replica) supply(x types.Value) []Action {
+	if len(r.awaiting) == 0 {
+		return nil
+	}
+	d := r.digestOf(x)
+	for _, q := range r.awaiting {
+		if q.key.digest == d {
+			return r.learn(d, x)
+		}
 	}
 	return nil
+}
+
+// await parks a complete quorum until the value of its digest is known.
+func (r *Replica) await(q awaitedQuorum) {
+	if !slices.Contains(r.awaiting, q) {
+		r.awaiting = append(r.awaiting, q)
+	}
+}
+
+// complete finishes, in the order they completed, the quorums that waited
+// for the value of digest d (which must be in r.values).
+func (r *Replica) complete(d msg.Digest) []Action {
+	var ready []awaitedQuorum
+	r.awaiting = slices.DeleteFunc(r.awaiting, func(q awaitedQuorum) bool {
+		if q.key.digest == d {
+			ready = append(ready, q)
+			return true
+		}
+		return false
+	})
+	var out []Action
+	for _, q := range ready {
+		if q.fast {
+			out = append(out, r.decide(r.values[d], q.key.view, types.FastPath)...)
+		} else {
+			out = append(out, r.formCommit(q.key)...)
+		}
+	}
+	return out
 }
 
 func (r *Replica) updateLatestCC(cc *msg.CommitCert) {
@@ -509,15 +634,16 @@ func (r *Replica) tryViewChange() []Action {
 	} else {
 		ls.selected = out.Value.Clone()
 	}
+	ls.selectedHash = r.digestOf(ls.selected)
 	ls.culprit = out.Culprit
 	ls.certVotes = sortedVotes(votes)
 	ls.certRequested = true
-	ls.certAcks = sigcrypto.NewSet(msg.CertAckDigest(ls.selected, r.view))
+	ls.certAcks = sigcrypto.NewSet(msg.CertAckDigest(ls.selectedHash, r.view))
 
 	// Endorse our own selection, then ask 2f other processes, so that f+1
 	// correct endorsements are guaranteed among the 2f+1 contacted.
 	actions := []Action{}
-	own := r.signer.Sign(msg.CertAckDigest(ls.selected, r.view))
+	own := r.signer.Sign(msg.CertAckDigest(ls.selectedHash, r.view))
 	ls.certAcks.Add(r.verifier, own)
 	req := &msg.CertRequest{View: r.view, X: ls.selected.Clone(), Votes: ls.certVotes}
 	sent := 1 // ourselves
@@ -540,8 +666,9 @@ func (r *Replica) onCertRequest(from types.ProcessID, m *msg.CertRequest) []Acti
 	if err := VerifyCertRequest(r.th, r.verifier, m); err != nil {
 		return nil
 	}
-	phi := r.signer.Sign(msg.CertAckDigest(m.X, m.View))
-	return []Action{SendAction{To: from, Msg: &msg.CertAck{View: m.View, X: m.X, Phi: phi}}}
+	d := r.digestOf(m.X)
+	phi := r.signer.Sign(msg.CertAckDigest(d, m.View))
+	return []Action{SendAction{To: from, Msg: &msg.CertAck{View: m.View, D: d, Phi: phi}}}
 }
 
 func (r *Replica) onCertAck(from types.ProcessID, m *msg.CertAck) []Action {
@@ -556,7 +683,7 @@ func (r *Replica) onCertAck(from types.ProcessID, m *msg.CertAck) []Action {
 	if ls == nil || !ls.certRequested || ls.proposed {
 		return nil
 	}
-	if !m.X.Equal(ls.selected) || m.Phi.Signer != from {
+	if m.D != ls.selectedHash || m.Phi.Signer != from {
 		return nil
 	}
 	if !ls.certAcks.Add(r.verifier, m.Phi) {

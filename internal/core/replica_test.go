@@ -157,25 +157,32 @@ func TestReplicaRejectsForgedProposals(t *testing.T) {
 	}
 }
 
+// proposal builds leader(1)'s signed view-1 proposal of x.
+func (f *fixture) proposal(x types.Value) *msg.Propose {
+	return &msg.Propose{View: 1, X: x, Tau: f.scheme.Signer(types.View(1).Leader(f.cfg.N)).Sign(msg.ProposeDigest(x, 1))}
+}
+
 func TestFastDecisionRequiresFastQuorum(t *testing.T) {
 	f := newFixture(types.Generalized(2, 1), 24) // n=7, fast quorum 6
 	r := f.newReplica(t, 0, nil)
 	x := types.Value("x")
-	var decided []types.Decision
-	for i := 1; i <= 5; i++ {
-		decided = append(decided, decisions(r.Deliver(types.ProcessID(i), &msg.Ack{View: 1, X: x}))...)
+	ack := &msg.Ack{View: 1, D: msg.ValueDigest(x)}
+	// Accepting the proposal gives the replica the value and its own ack.
+	decided := decisions(r.Deliver(types.View(1).Leader(f.cfg.N), f.proposal(x)))
+	for i := 1; i <= 4; i++ {
+		decided = append(decided, decisions(r.Deliver(types.ProcessID(i), ack))...)
 	}
 	if len(decided) != 0 {
 		t.Fatal("decided below the fast quorum")
 	}
 	// Duplicate acks must not help.
-	for i := 1; i <= 5; i++ {
-		decided = append(decided, decisions(r.Deliver(types.ProcessID(i), &msg.Ack{View: 1, X: x}))...)
+	for i := 0; i <= 4; i++ {
+		decided = append(decided, decisions(r.Deliver(types.ProcessID(i), ack))...)
 	}
 	if len(decided) != 0 {
 		t.Fatal("duplicate acks counted twice")
 	}
-	decided = append(decided, decisions(r.Deliver(6, &msg.Ack{View: 1, X: x}))...)
+	decided = append(decided, decisions(r.Deliver(5, ack))...)
 	if len(decided) != 1 {
 		t.Fatalf("expected decision at fast quorum, got %d", len(decided))
 	}
@@ -183,8 +190,68 @@ func TestFastDecisionRequiresFastQuorum(t *testing.T) {
 		t.Fatalf("unexpected decision %+v", decided[0])
 	}
 	// At most one decision per process.
-	if len(decisions(r.Deliver(0, &msg.Ack{View: 1, X: x}))) != 0 {
+	if len(decisions(r.Deliver(6, ack))) != 0 {
 		t.Fatal("second decision emitted")
+	}
+}
+
+// TestFastQuorumWaitsForUnseenValue: acks name the value by digest, so a
+// replica that collects a fast quorum before the proposal reaches it holds
+// the decision until a value hashing to the digest arrives — and then
+// decides it on the fast path.
+func TestFastQuorumWaitsForUnseenValue(t *testing.T) {
+	f := newFixture(types.Generalized(1, 1), 33) // n=4, fast quorum 3
+	leader := types.View(1).Leader(f.cfg.N)
+	follower := (leader + 1) % types.ProcessID(f.cfg.N)
+	r := f.newReplica(t, follower, nil)
+	x := types.Value("x")
+	ack := &msg.Ack{View: 1, D: msg.ValueDigest(x)}
+	var decided []types.Decision
+	for i := 0; i < f.cfg.N; i++ {
+		if p := types.ProcessID(i); p != follower {
+			decided = append(decided, decisions(r.Deliver(p, ack))...)
+		}
+	}
+	if len(decided) != 0 {
+		t.Fatal("decided a value the replica has never seen")
+	}
+	// A proposal of another value (an equivocating leader's) is not it.
+	y := types.Value("y")
+	if len(decisions(r.Deliver(leader, f.proposal(y)))) != 0 {
+		t.Fatal("decided on a value that does not match the acked digest")
+	}
+	// Neither is a Commit whose certificate value does not hash to the
+	// digest its signatures (and the acks) cover, from any number of
+	// senders.
+	forged := &msg.Commit{CC: *f.commitCert(x, 1)}
+	forged.CC.Value = y
+	for i := 0; i < f.cfg.N; i++ {
+		if len(decisions(r.Deliver(types.ProcessID(i), forged))) != 0 {
+			t.Fatal("decided through a certificate whose value does not match its digest")
+		}
+	}
+	// The acked value arrives late: it is decided, on the fast path.
+	r2 := f.newReplica(t, follower, nil)
+	for i := 0; i < f.cfg.N; i++ {
+		if p := types.ProcessID(i); p != follower {
+			r2.Deliver(p, ack)
+		}
+	}
+	decided = decisions(r2.Deliver(leader, f.proposal(x)))
+	if len(decided) != 1 || decided[0].Path != types.FastPath || !decided[0].Value.Equal(x) || decided[0].View != 1 {
+		t.Fatalf("late proposal: want one fast decision of x, got %+v", decided)
+	}
+	// So does a commit certificate carrying it, after the replica acked y.
+	r3 := f.newReplica(t, follower, nil)
+	r3.Deliver(leader, f.proposal(y))
+	for i := 0; i < f.cfg.N; i++ {
+		if p := types.ProcessID(i); p != follower {
+			r3.Deliver(p, ack)
+		}
+	}
+	decided = decisions(r3.Deliver(leader, &msg.Commit{CC: *f.commitCert(x, 1)}))
+	if len(decided) != 1 || decided[0].Path != types.FastPath || !decided[0].Value.Equal(x) {
+		t.Fatalf("commit-supplied value: want one fast decision of x, got %+v", decided)
 	}
 }
 
@@ -192,11 +259,13 @@ func TestSlowPathCommitAssembly(t *testing.T) {
 	f := newFixture(types.Generalized(2, 1), 25) // n=7, commit quorum 5
 	r := f.newReplica(t, 0, nil)
 	x := types.Value("x")
-	d := msg.AckDigest(x, 1)
+	h := msg.ValueDigest(x)
+	d := msg.AckDigest(h, 1)
+	r.Deliver(types.View(1).Leader(f.cfg.N), f.proposal(x))
 	var commits int
 	for i := 1; i <= 5; i++ {
 		pid := types.ProcessID(i)
-		acts := r.Deliver(pid, &msg.AckSig{View: 1, X: x, Phi: f.scheme.Signer(pid).Sign(d)})
+		acts := r.Deliver(pid, &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(pid).Sign(d)})
 		commits += countKind(acts, msg.KindCommit)
 	}
 	if commits != 1 {
@@ -206,7 +275,7 @@ func TestSlowPathCommitAssembly(t *testing.T) {
 	r2 := f.newReplica(t, 0, nil)
 	for i := 1; i <= 5; i++ {
 		pid := types.ProcessID(i)
-		forged := &msg.AckSig{View: 1, X: x, Phi: f.scheme.Signer(0).Sign(d)}
+		forged := &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(0).Sign(d)}
 		if countKind(r2.Deliver(pid, forged), msg.KindCommit) != 0 {
 			t.Fatal("forged ack signature produced a commit")
 		}
@@ -221,14 +290,16 @@ func TestCommitMessagesDecideSlow(t *testing.T) {
 	var decided []types.Decision
 	for i := 1; i <= 5; i++ {
 		pid := types.ProcessID(i)
-		decided = append(decided, decisions(r.Deliver(pid, &msg.Commit{View: 1, X: x, CC: *cc}))...)
+		decided = append(decided, decisions(r.Deliver(pid, &msg.Commit{CC: *cc}))...)
 	}
 	if len(decided) != 1 || decided[0].Path != types.SlowPath {
 		t.Fatalf("expected one slow decision, got %v", decided)
 	}
-	// A Commit whose certificate does not match its fields is dropped.
+	// A Commit whose certificate value does not hash to the digest its
+	// signatures cover is dropped.
 	r2 := f.newReplica(t, 0, nil)
-	bad := &msg.Commit{View: 1, X: types.Value("other"), CC: *cc}
+	bad := &msg.Commit{CC: *cc}
+	bad.CC.Value = types.Value("other")
 	for i := 1; i <= 5; i++ {
 		if len(decisions(r2.Deliver(types.ProcessID(i), bad))) != 0 {
 			t.Fatal("mismatched commit decided")
@@ -345,8 +416,8 @@ func TestLeaderViewChangeProducesJustifiedProposal(t *testing.T) {
 	}
 	// Answer with a CertAck from one other process: together with the
 	// leader's own endorsement that is f+1 = 2.
-	phi := f.scheme.Signer(0).Sign(msg.CertAckDigest(x, 2))
-	proposeActs := r.Deliver(0, &msg.CertAck{View: 2, X: x, Phi: phi})
+	phi := f.scheme.Signer(0).Sign(msg.CertAckDigest(msg.ValueDigest(x), 2))
+	proposeActs := r.Deliver(0, &msg.CertAck{View: 2, D: msg.ValueDigest(x), Phi: phi})
 	if countKind(proposeActs, msg.KindPropose) != 1 {
 		t.Fatal("leader did not propose after f+1 CertAcks")
 	}
@@ -390,8 +461,9 @@ func TestLeaderIgnoresBogusVotesAndCertAcks(t *testing.T) {
 		t.Fatal("stale vote processed")
 	}
 	// CertAck before any certificate round.
-	phi := f.scheme.Signer(0).Sign(msg.CertAckDigest(types.Value("x"), 2))
-	if len(r.Deliver(0, &msg.CertAck{View: 2, X: types.Value("x"), Phi: phi})) != 0 {
+	d := msg.ValueDigest(types.Value("x"))
+	phi := f.scheme.Signer(0).Sign(msg.CertAckDigest(d, 2))
+	if len(r.Deliver(0, &msg.CertAck{View: 2, D: d, Phi: phi})) != 0 {
 		t.Fatal("unsolicited CertAck processed")
 	}
 }

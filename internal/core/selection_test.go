@@ -26,7 +26,7 @@ func (f *fixture) verifier() sigcrypto.Verifier { return f.scheme.Verifier() }
 
 // progressCert builds a valid progress certificate for (x, v).
 func (f *fixture) progressCert(x types.Value, v types.View) *msg.ProgressCert {
-	d := msg.CertAckDigest(x, v)
+	d := msg.CertAckDigest(msg.ValueDigest(x), v)
 	sigs := make([]sigcrypto.Signature, 0, f.th.CertQuorum())
 	for i := 0; i < f.th.CertQuorum(); i++ {
 		sigs = append(sigs, f.scheme.Signer(types.ProcessID(i)).Sign(d))
@@ -36,7 +36,7 @@ func (f *fixture) progressCert(x types.Value, v types.View) *msg.ProgressCert {
 
 // commitCert builds a valid commit certificate for (x, v).
 func (f *fixture) commitCert(x types.Value, v types.View) *msg.CommitCert {
-	d := msg.AckDigest(x, v)
+	d := msg.AckDigest(msg.ValueDigest(x), v)
 	sigs := make([]sigcrypto.Signature, 0, f.th.CommitQuorum())
 	for i := 0; i < f.th.CommitQuorum(); i++ {
 		sigs = append(sigs, f.scheme.Signer(types.ProcessID(i)).Sign(d))

@@ -8,7 +8,7 @@ import (
 )
 
 // ProgressCert is the progress certificate b̂σ of Section 3.2: CertQuorum
-// (f+1) signatures from distinct processes over (CertAck, x, v), proving
+// (f+1) signatures from distinct processes over (CertAck, H(x), v), proving
 // that at least one correct process verified that value x is safe in view v.
 //
 // A nil *ProgressCert plays the role of ⊥: it accompanies proposals in view
@@ -21,7 +21,7 @@ type ProgressCert struct {
 
 // Verify reports whether the certificate proves that c.Value is safe in
 // c.View: it must carry CertQuorum valid signatures from distinct signers
-// over CertAckDigest(c.Value, c.View).
+// over CertAckDigest(ValueDigest(c.Value), c.View).
 func (c *ProgressCert) Verify(ver sigcrypto.Verifier, th quorum.Thresholds) bool {
 	if c == nil {
 		return false
@@ -29,7 +29,7 @@ func (c *ProgressCert) Verify(ver sigcrypto.Verifier, th quorum.Thresholds) bool
 	if c.View < 1 {
 		return false
 	}
-	d := CertAckDigest(c.Value, c.View)
+	d := CertAckDigest(ValueDigest(c.Value), c.View)
 	return sigcrypto.VerifyDistinct(ver, d, c.Sigs, th.CertQuorum())
 }
 
@@ -111,7 +111,7 @@ func decodeProgressCertPtr(r *wire.Reader) *ProgressCert {
 
 // CommitCert is the slow-path commit certificate of Appendix A.1:
 // CommitQuorum (⌈(n+f+1)/2⌉) signatures from distinct processes over
-// (ack, x, v). Two commit certificates for different values in the same view
+// (ack, H(x), v). Two commit certificates for different values in the same view
 // cannot exist (Lemma A.2).
 type CommitCert struct {
 	Value types.Value
@@ -120,16 +120,23 @@ type CommitCert struct {
 }
 
 // Verify reports whether the certificate carries CommitQuorum valid
-// signatures from distinct signers over AckDigest(c.Value, c.View).
+// signatures from distinct signers over AckDigest(ValueDigest(c.Value),
+// c.View).
 func (c *CommitCert) Verify(ver sigcrypto.Verifier, th quorum.Thresholds) bool {
 	if c == nil {
 		return false
 	}
-	if c.View < 1 {
+	return c.VerifyDigest(ver, th, ValueDigest(c.Value))
+}
+
+// VerifyDigest is Verify for a caller that already holds
+// d = ValueDigest(c.Value), so a value is hashed once however many
+// certificates carry it. Passing any other digest voids the check.
+func (c *CommitCert) VerifyDigest(ver sigcrypto.Verifier, th quorum.Thresholds, d Digest) bool {
+	if c == nil || c.View < 1 {
 		return false
 	}
-	d := AckDigest(c.Value, c.View)
-	return sigcrypto.VerifyDistinct(ver, d, c.Sigs, th.CommitQuorum())
+	return sigcrypto.VerifyDistinct(ver, AckDigest(d, c.View), c.Sigs, th.CommitQuorum())
 }
 
 // Clone returns an independent deep copy (nil-safe).

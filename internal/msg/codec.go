@@ -21,10 +21,10 @@ func Encode(m Message) []byte {
 		encodeSig(w, t.Tau)
 	case *Ack:
 		w.Uvarint(uint64(t.View))
-		w.BytesField(t.X)
+		encodeDigest(w, t.D)
 	case *AckSig:
 		w.Uvarint(uint64(t.View))
-		w.BytesField(t.X)
+		encodeDigest(w, t.D)
 		encodeSig(w, t.Phi)
 	case *Vote:
 		w.Uvarint(uint64(t.View))
@@ -38,11 +38,9 @@ func Encode(m Message) []byte {
 		}
 	case *CertAck:
 		w.Uvarint(uint64(t.View))
-		w.BytesField(t.X)
+		encodeDigest(w, t.D)
 		encodeSig(w, t.Phi)
 	case *Commit:
-		w.Uvarint(uint64(t.View))
-		w.BytesField(t.X)
 		t.CC.encode(w)
 	case *Wish:
 		w.Uvarint(uint64(t.View))
@@ -132,12 +130,12 @@ func Decode(buf []byte) (Message, error) {
 	case KindAck:
 		t := &Ack{}
 		t.View = types.View(r.Uvarint())
-		t.X = r.BytesField()
+		t.D = decodeDigest(r)
 		m = t
 	case KindAckSig:
 		t := &AckSig{}
 		t.View = types.View(r.Uvarint())
-		t.X = r.BytesField()
+		t.D = decodeDigest(r)
 		t.Phi = decodeSig(r)
 		m = t
 	case KindVote:
@@ -161,13 +159,11 @@ func Decode(buf []byte) (Message, error) {
 	case KindCertAck:
 		t := &CertAck{}
 		t.View = types.View(r.Uvarint())
-		t.X = r.BytesField()
+		t.D = decodeDigest(r)
 		t.Phi = decodeSig(r)
 		m = t
 	case KindCommit:
 		t := &Commit{}
-		t.View = types.View(r.Uvarint())
-		t.X = r.BytesField()
 		t.CC = decodeCommitCert(r)
 		m = t
 	case KindWish:

@@ -1,12 +1,14 @@
 package msg
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 var testCfg = types.Config{N: 4, F: 1, T: 1}
@@ -14,7 +16,7 @@ var testCfg = types.Config{N: 4, F: 1, T: 1}
 func testScheme() sigcrypto.Scheme { return sigcrypto.NewHMAC(testCfg.N, 7) }
 
 func sampleProgressCert(s sigcrypto.Scheme, x types.Value, v types.View) *ProgressCert {
-	d := CertAckDigest(x, v)
+	d := CertAckDigest(ValueDigest(x), v)
 	sigs := []sigcrypto.Signature{
 		s.Signer(0).Sign(d),
 		s.Signer(2).Sign(d),
@@ -23,7 +25,7 @@ func sampleProgressCert(s sigcrypto.Scheme, x types.Value, v types.View) *Progre
 }
 
 func sampleCommitCert(s sigcrypto.Scheme, x types.Value, v types.View) *CommitCert {
-	d := AckDigest(x, v)
+	d := AckDigest(ValueDigest(x), v)
 	sigs := []sigcrypto.Signature{
 		s.Signer(0).Sign(d),
 		s.Signer(1).Sign(d),
@@ -55,24 +57,27 @@ func roundTrip(t *testing.T, m Message) Message {
 	return out
 }
 
-func TestRoundTripAllKinds(t *testing.T) {
+// sampleMessages returns one or more well-formed messages of every kind;
+// the round-trip test and the fuzz corpus both start from it.
+func sampleMessages() []Message {
 	s := testScheme()
 	x := types.Value("value")
 	pc := sampleProgressCert(s, x, 2)
 	cc := sampleCommitCert(s, x, 2)
+	d := ValueDigest(x)
 	vote := VoteRecord{Value: x, View: 2, Cert: pc, Tau: s.Signer(2).Sign(ProposeDigest(x, 2)), CC: cc}
 	sv := SignedVote{Voter: 1, Vote: vote, Phi: s.Signer(1).Sign(VoteDigest(vote, 3))}
 
-	msgs := []Message{
+	return []Message{
 		&Propose{View: 1, X: x, Cert: nil, Tau: s.Signer(1).Sign(ProposeDigest(x, 1))},
 		&Propose{View: 3, X: x, Cert: sampleProgressCert(s, x, 3), Tau: s.Signer(3).Sign(ProposeDigest(x, 3))},
-		&Ack{View: 2, X: x},
-		&AckSig{View: 2, X: x, Phi: s.Signer(0).Sign(AckDigest(x, 2))},
+		&Ack{View: 2, D: d},
+		&AckSig{View: 2, D: d, Phi: s.Signer(0).Sign(AckDigest(d, 2))},
 		&Vote{View: 3, SV: sv},
 		&Vote{View: 3, SV: SignedVote{Voter: 0, Vote: NilVote(), Phi: s.Signer(0).Sign(VoteDigest(NilVote(), 3))}},
 		&CertRequest{View: 3, X: x, Votes: []SignedVote{sv}},
-		&CertAck{View: 3, X: x, Phi: s.Signer(2).Sign(CertAckDigest(x, 3))},
-		&Commit{View: 2, X: x, CC: *cc},
+		&CertAck{View: 3, D: d, Phi: s.Signer(2).Sign(CertAckDigest(d, 3))},
+		&Commit{CC: *cc},
 		&Wish{View: 9},
 		&Raw{View: 4, Proto: ProtoPBFT, Sub: 2, X: x, Payload: []byte{1, 2, 3}},
 		&Checkpoint{CP: sampleCheckpoint(), Phi: s.Signer(1).Sign(CheckpointDigest(sampleCheckpoint()))},
@@ -84,9 +89,65 @@ func TestRoundTripAllKinds(t *testing.T) {
 			Cert:     *sampleCheckpointCert(s),
 			Tail:     []TailDecision{{Slot: 17, CC: *cc}, {Slot: 18, CC: *cc}},
 		},
+		&Request{Client: "alice", Seq: 7, Op: []byte("op")},
+		&Request{Client: "bob", Seq: 1, Op: nil, Group: 3},
+		&Reply{Client: "alice", Seq: 7, Slot: 4, Replica: 2, Result: []byte("r"), Group: 1},
+		&SnapshotChunk{Cert: *sampleCheckpointCert(s), Total: 10, Offset: 4, Data: []byte("chunk")},
+		&WindowWish{View: 5, Lo: 3, Hi: 9},
+		&WindowVote{View: 3, Entries: []WindowVoteEntry{{Slot: 2, SV: sv}, {Slot: 3, SV: sv}}},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllKinds(t *testing.T) {
+	covered := make(map[Kind]bool)
+	for _, m := range sampleMessages() {
 		roundTrip(t, m)
+		covered[m.Kind()] = true
+	}
+	for k := KindPropose; k <= KindWindowVote; k++ {
+		if !covered[k] {
+			t.Errorf("no sample message of kind %s", k)
+		}
+	}
+}
+
+// TestDigestOnlyWireShapes pins the sizes the digest-only encodings exist
+// for: an Ack or AckSig for a 4 KiB value stays under 128 bytes, a Commit
+// carries the value's bytes exactly once, and a digest of any other length
+// is rejected.
+func TestDigestOnlyWireShapes(t *testing.T) {
+	s := testScheme()
+	x := make(types.Value, 4096)
+	for i := range x {
+		x[i] = byte(i*7 + 1)
+	}
+	d := ValueDigest(x)
+	for _, m := range []Message{
+		&Ack{View: 3, D: d},
+		&AckSig{View: 3, D: d, Phi: s.Signer(0).Sign(AckDigest(d, 3))},
+		&CertAck{View: 3, D: d, Phi: s.Signer(0).Sign(CertAckDigest(d, 3))},
+	} {
+		if n := len(Encode(m)); n >= 128 {
+			t.Errorf("%s for a 4 KiB value encodes in %d bytes, want < 128", m.Kind(), n)
+		}
+	}
+	buf := Encode(&Commit{CC: *sampleCommitCert(s, x, 3)})
+	if n := bytes.Count(buf, x); n != 1 {
+		t.Fatalf("commit carries the value %d times, want once", n)
+	}
+	if len(buf) >= 2*len(x) {
+		t.Fatalf("commit encodes in %d bytes for a %d-byte value", len(buf), len(x))
+	}
+
+	// A digest field of any length but 32 is malformed.
+	for _, n := range []int{0, 31, 33} {
+		w := wire.NewWriter(64)
+		w.Uint8(uint8(KindAck))
+		w.Uvarint(3)
+		w.BytesField(make([]byte, n))
+		if _, err := Decode(w.Bytes()); err == nil {
+			t.Errorf("ack with a %d-byte digest decoded", n)
+		}
 	}
 }
 
@@ -121,7 +182,7 @@ func TestDecodeTruncations(t *testing.T) {
 	s := testScheme()
 	x := types.Value("v")
 	cc := sampleCommitCert(s, x, 2)
-	buf := Encode(&Commit{View: 2, X: x, CC: *cc})
+	buf := Encode(&Commit{CC: *cc})
 	for i := 0; i < len(buf); i++ {
 		if _, err := Decode(buf[:i]); err == nil {
 			t.Fatalf("prefix of length %d decoded successfully", i)
@@ -205,8 +266,8 @@ func TestDigestDomainSeparation(t *testing.T) {
 	v := types.View(3)
 	digests := [][]byte{
 		ProposeDigest(x, v),
-		AckDigest(x, v),
-		CertAckDigest(x, v),
+		AckDigest(ValueDigest(x), v),
+		CertAckDigest(ValueDigest(x), v),
 		VoteDigest(NilVote(), v),
 		CheckpointDigest(types.Checkpoint{Slot: 3, StateHash: x}),
 	}

@@ -137,11 +137,12 @@ func (m *Propose) Kind() Kind { return KindPropose }
 func (m *Propose) InView() types.View { return m.View }
 
 // Ack is the message ack(x̂, v): sent to every process after accepting a
-// proposal; a process decides X once it receives FastQuorum acks for the
-// same (X, v).
+// proposal; a process decides x once it receives FastQuorum acks for the
+// same (D, v), where D = ValueDigest(x). The value itself reached every
+// process in the Propose.
 type Ack struct {
 	View types.View
-	X    types.Value
+	D    Digest
 }
 
 // Kind implements Message.
@@ -151,10 +152,11 @@ func (m *Ack) Kind() Kind { return KindAck }
 func (m *Ack) InView() types.View { return m.View }
 
 // AckSig is the message sig(φ_ack) of Appendix A.1, carrying the signature
-// that contributes to commit certificates.
+// that contributes to commit certificates. Like Ack it names the value by
+// its digest D, which is what φ_ack covers.
 type AckSig struct {
 	View types.View
-	X    types.Value
+	D    Digest
 	Phi  sigcrypto.Signature
 }
 
@@ -194,11 +196,11 @@ func (m *CertRequest) Kind() Kind { return KindCertRequest }
 func (m *CertRequest) InView() types.View { return m.View }
 
 // CertAck is the endorsement message of Section 3.2, carrying
-// φ_ca = sign((CertAck, X, View)). CertQuorum of them form a progress
-// certificate.
+// φ_ca = sign((CertAck, D, View)) for the requested value with digest D.
+// CertQuorum of them form a progress certificate.
 type CertAck struct {
 	View types.View
-	X    types.Value
+	D    Digest
 	Phi  sigcrypto.Signature
 }
 
@@ -210,18 +212,18 @@ func (m *CertAck) InView() types.View { return m.View }
 
 // Commit is the message Commit(x, v, cc) of Appendix A.1: the sender has
 // assembled a commit certificate; CommitQuorum valid Commit messages for the
-// same (X, View) decide X through the slow path.
+// same (x, v) decide x through the slow path. The certificate already holds
+// x and v, so on the wire the message is the certificate alone and the
+// value travels once.
 type Commit struct {
-	View types.View
-	X    types.Value
-	CC   CommitCert
+	CC CommitCert
 }
 
 // Kind implements Message.
 func (m *Commit) Kind() Kind { return KindCommit }
 
 // InView implements Message.
-func (m *Commit) InView() types.View { return m.View }
+func (m *Commit) InView() types.View { return m.CC.View }
 
 // Wish is the view-synchronization message: the sender wishes to enter View.
 // Wishes rely on channel authentication only (Section 2.1) and are counted

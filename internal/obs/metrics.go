@@ -85,15 +85,16 @@ func (g *Gauge) Load() int64 {
 
 // Histogram is a fixed-bucket histogram over uint64 observations (typically
 // nanoseconds). Bucket upper bounds are set at registration and never
-// change; Observe is a linear scan over a handful of bounds plus three
-// atomic adds — no locks, no allocation. Exported values are divided by
-// Scale (1e9 turns nanosecond observations into Prometheus-conventional
-// seconds).
+// change; Observe is a linear scan over a handful of bounds plus two
+// atomic adds — no locks, no allocation. There is no separate total: the
+// count is the +Inf cumulative sum, so a read racing an Observe can never
+// report a count that disagrees with its own buckets. Exported values are
+// divided by Scale (1e9 turns nanosecond observations into
+// Prometheus-conventional seconds).
 type Histogram struct {
 	bounds []uint64
 	scale  float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
 	sum    atomic.Uint64
 }
 
@@ -107,7 +108,6 @@ func (h *Histogram) Observe(v uint64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -124,7 +124,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	n := uint64(0)
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // DefaultLatencyBuckets are exponential (doubling) nanosecond bounds from
@@ -312,7 +316,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			ms.Value = m.fn()
 		case kindHistogram:
 			h := m.h
-			ms.Count = h.count.Load()
 			ms.Sum = float64(h.sum.Load()) / h.scale
 			cum := uint64(0)
 			for i := range h.counts {
@@ -323,6 +326,7 @@ func (r *Registry) Snapshot() *Snapshot {
 				}
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: le, Count: cum})
 			}
+			ms.Count = cum
 		}
 		s.Metrics = append(s.Metrics, ms)
 	}
@@ -418,7 +422,7 @@ func writeSeries(b *strings.Builder, m *metric) {
 			fmt.Fprintf(b, "%s_bucket%s %d\n", m.name, withLabel(m.labelStr, "le", le), cum)
 		}
 		fmt.Fprintf(b, "%s_sum%s %s\n", m.name, m.labelStr, formatFloat(float64(h.sum.Load())/h.scale))
-		fmt.Fprintf(b, "%s_count%s %d\n", m.name, m.labelStr, h.count.Load())
+		fmt.Fprintf(b, "%s_count%s %d\n", m.name, m.labelStr, cum)
 	}
 }
 

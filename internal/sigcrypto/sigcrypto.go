@@ -11,8 +11,8 @@
 //     and property tests. They are not publicly verifiable cryptography (a
 //     verifier holding the key registry can forge), but within the simulator
 //     the registry plays the role of the trusted PKI, and determinism makes
-//     experiments reproducible. This substitution is documented in
-//     DESIGN.md.
+//     experiments reproducible. Every replica the public API builds signs
+//     with Ed25519.
 package sigcrypto
 
 import (

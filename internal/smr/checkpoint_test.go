@@ -539,7 +539,7 @@ func TestSlotSaltedSignaturesRejectCrossSlotReplay(t *testing.T) {
 // Small indirection helpers so the test reads at the level of the property.
 func quorumFor(cfg types.Config) quorum.Thresholds { return quorum.New(cfg) }
 
-func msgAckDigest(x types.Value, v types.View) []byte { return msg.AckDigest(x, v) }
+func msgAckDigest(x types.Value, v types.View) []byte { return msg.AckDigest(msg.ValueDigest(x), v) }
 
 func ccFor(x types.Value, v types.View, sigs []sigcrypto.Signature) *msg.CommitCert {
 	return &msg.CommitCert{Value: x, View: v, Sigs: sigs}

@@ -211,7 +211,7 @@ func (r *Replica) dispatchReplyTracedLocked(cb ReplyFunc, rep *msg.Reply, tr *ob
 	if r.recovering {
 		return
 	}
-	r.countOut(msg.KindReply)
+	r.countOut(msg.KindReply, nil) // encoded by the client listener, not here
 	run := func() {
 		if tr != nil {
 			r.m.tracer.MarkNow(tr, obs.StageReplied)

@@ -31,8 +31,9 @@ type replicaMetrics struct {
 
 	// Per-kind protocol message counters, indexed by msg.Kind (a broadcast
 	// counts once here; the transport layer counts physical frames).
-	msgIn  [maxMsgKind + 1]*obs.Counter
-	msgOut [maxMsgKind + 1]*obs.Counter
+	msgIn    [maxMsgKind + 1]*obs.Counter
+	msgOut   [maxMsgKind + 1]*obs.Counter
+	bytesOut [maxMsgKind + 1]*obs.Counter
 
 	tracer *obs.Tracer
 }
@@ -52,6 +53,7 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 	for k := msg.Kind(1); int(k) <= maxMsgKind; k++ {
 		m.msgIn[k] = reg.Counter("fastbft_messages_in_total", "protocol messages received, by kind", withLabel(ls, "kind", k.String()))
 		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", withLabel(ls, "kind", k.String()))
+		m.bytesOut[k] = reg.Counter("fastbft_message_bytes_out_total", "encoded envelope bytes of the replica-to-replica messages produced, by kind (a broadcast counts once)", withLabel(ls, "kind", k.String()))
 	}
 	m.tracer = obs.NewTracer(reg, "fastbft_stage_seconds",
 		"cumulative request latency from submit to each pipeline stage", ls)
@@ -100,7 +102,8 @@ func (r *Replica) windowOccupancyLocked() int {
 	return occ
 }
 
-// countIn/countOut bump the per-kind message counters; kinds outside the
+// countIn/countOut bump the per-kind message counters (countOut also the
+// byte counter, by the envelope's encoded size); kinds outside the
 // registered range (future wire extensions) are ignored rather than
 // counted under a wrong label.
 func (r *Replica) countIn(k msg.Kind) {
@@ -109,16 +112,18 @@ func (r *Replica) countIn(k msg.Kind) {
 	}
 }
 
-func (r *Replica) countOut(k msg.Kind) {
+func (r *Replica) countOut(k msg.Kind, env []byte) {
 	if k >= 1 && int(k) <= maxMsgKind {
 		r.m.msgOut[k].Inc()
+		r.m.bytesOut[k].Add(uint64(len(env)))
 	}
 }
 
-// envOut counts and envelopes one outgoing protocol message.
+// envOut envelopes and counts one outgoing protocol message.
 func (r *Replica) envOut(s uint64, m msg.Message) []byte {
-	r.countOut(m.Kind())
-	return envelope(s, m)
+	env := envelope(s, m)
+	r.countOut(m.Kind(), env)
+	return env
 }
 
 // markStage records pipeline stage st of slot sl at time `at`.

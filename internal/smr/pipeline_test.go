@@ -1,7 +1,9 @@
 package smr
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -776,4 +778,79 @@ func BenchmarkPendingQueueRemoveLinearScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSMRFollowerDecidesWithoutItsPropose: acks and ack signatures name the
+// value by digest, so a follower whose Propose is parked holds a fast ack
+// quorum for a value it has never seen. It must not decide until the value
+// arrives — from the late Propose itself, or from a peer's Commit
+// certificate — and must then apply exactly the command the others
+// applied, leaving its store byte-identical to theirs.
+func TestSMRFollowerDecidesWithoutItsPropose(t *testing.T) {
+	cfg := types.Generalized(1, 1) // n = 4, fast quorum 3 without the victim
+	reps, stores, _, net, _ := buildLockstepGroup(t, cfg, 91, 4, 1, 0)
+	defer func() {
+		for _, r := range reps {
+			_ = r.Close()
+		}
+	}()
+	leader := types.View(1).Leader(cfg.N)
+	victim := (leader + 1) % types.ProcessID(cfg.N)
+	park := func(kinds ...msg.Kind) {
+		net.SetHold(func(_, to types.ProcessID, payload []byte) bool {
+			_, m, ok := OpenEnvelope(payload)
+			return ok && to == victim && slices.Contains(kinds, m.Kind())
+		})
+	}
+	identical := func() {
+		t.Helper()
+		want := stores[leader].Snapshot()
+		for i, st := range stores {
+			if !bytes.Equal(st.Snapshot(), want) {
+				t.Fatalf("replica %d store diverged from the leader's", i)
+			}
+		}
+	}
+
+	// Proposal and commits both parked: the ack quorum alone decides
+	// nothing on the victim, though everyone else decides slot 0.
+	park(msg.KindPropose, msg.KindCommit)
+	submitKV(t, reps[leader], "parked", 0)
+	net.Drain(0)
+	for i, r := range reps {
+		_, ok := r.Decided(0)
+		if want := types.ProcessID(i) != victim; ok != want {
+			t.Fatalf("replica %d: slot 0 decided=%v, want %v", i, ok, want)
+		}
+	}
+	// The late proposal supplies the value: a fast-path decision.
+	net.ReleaseHeld()
+	net.Drain(0)
+	d, ok := reps[victim].Decided(0)
+	if !ok || d.Path != types.FastPath {
+		t.Fatalf("victim after the late proposal: decided=%v path=%v, want fast", ok, d.Path)
+	}
+	identical()
+
+	// Proposals parked for good: Commit certificates carry the value.
+	park(msg.KindPropose)
+	const ops = 4
+	for i := 1; i <= ops; i++ {
+		submitKV(t, reps[leader], "parked", i)
+		net.Drain(0)
+	}
+	if net.HeldLen() != ops {
+		t.Fatalf("%d messages held, want the victim's %d proposals", net.HeldLen(), ops)
+	}
+	for s := uint64(1); s <= ops; s++ {
+		want, _ := reps[leader].Decided(s)
+		got, ok := reps[victim].Decided(s)
+		if !ok || !got.Value.Equal(want.Value) {
+			t.Fatalf("slot %d: victim decided=%v, want the leader's value", s, ok)
+		}
+	}
+	if got := stores[victim].AppliedOps(); got != ops+1 {
+		t.Fatalf("victim applied %d commands, want %d", got, ops+1)
+	}
+	identical()
 }

@@ -155,8 +155,9 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 	// not replica state).
 	w := wire.NewWriter(len(enc) + 10)
 	w.Uvarint(ctrlSlot)
-	r.countOut(msg.KindRequest)
-	r.broadcastOrderedLocked(append(w.Bytes(), enc...))
+	env := append(w.Bytes(), enc...)
+	r.countOut(msg.KindRequest, env)
+	r.broadcastOrderedLocked(env)
 	r.fillWindowLocked()
 	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()

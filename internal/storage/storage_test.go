@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // testVote builds a plausible adopted-vote record (signatures are opaque
@@ -296,18 +298,53 @@ func itoa(i int) string {
 
 // TestValidCRCBadRecordStopsScan: a frame whose CRC is intact but whose
 // payload is not a valid record also stops recovery (framing after it is
-// untrusted).
+// untrusted), and is reported rather than passed off as a torn tail.
 func TestValidCRCBadRecordStopsScan(t *testing.T) {
 	var wal []byte
 	wal = AppendFrame(wal, EncodeVote(1, testVote(1, "ok")))
 	wal = AppendFrame(wal, []byte{0xEE, 0x01, 0x02}) // valid frame, junk record
 	wal = AppendFrame(wal, EncodeVote(2, testVote(1, "after")))
-	recs, off := scanWAL(wal)
+	recs, off, err := scanWAL(wal)
 	if len(recs) != 1 {
 		t.Fatalf("scanned %d records, want 1", len(recs))
 	}
 	if off == int64(len(wal)) {
 		t.Fatal("scan claimed the whole file valid past a junk record")
+	}
+	if !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("scan error %v, want ErrBadRecord", err)
+	}
+}
+
+// TestOldCertRecordRefusesToOpen: a certificate record in the encoding
+// used before Commit became certificate-only (view and value written ahead
+// of the certificate) is intact but undecodable. Opening such a data
+// directory must fail and leave the WAL untouched — truncating there would
+// silently drop the vote written after it.
+func TestOldCertRecordRefusesToOpen(t *testing.T) {
+	dir := t.TempDir()
+	cc := testCert(1, "v")
+	old := wire.NewWriter(32)
+	old.Uint8(uint8(msg.KindCommit))
+	old.Uvarint(uint64(cc.View))
+	old.BytesField(cc.Value)
+	rec := wire.NewWriter(64)
+	rec.Uint8(uint8(RecordCert))
+	rec.Uvarint(3)
+	rec.BytesField(append(old.Bytes(), msg.Encode(&msg.Commit{CC: *cc})[1:]...))
+	var wal []byte
+	wal = AppendFrame(wal, rec.Bytes())
+	wal = AppendFrame(wal, EncodeVote(4, testVote(1, "after")))
+	path := filepath.Join(dir, walName)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(Config{Dir: dir}); err == nil {
+		_ = s.Close()
+		t.Fatal("opened a WAL holding an old-format certificate record")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wal) {
+		t.Fatalf("WAL modified by the failed open (err %v)", err)
 	}
 }
 

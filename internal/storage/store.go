@@ -269,7 +269,12 @@ func (s *Store) recover() error {
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	recs, validOff := scanWAL(buf)
+	recs, validOff, err := scanWAL(buf)
+	if err != nil {
+		// Not a torn tail: refuse to start rather than truncate away every
+		// record after it.
+		return fmt.Errorf("storage: %s: WAL record at offset %d: %w (written by an incompatible version?)", s.dir, validOff, err)
+	}
 	if validOff < int64(len(buf)) {
 		// Torn tail: drop it now so future appends continue from the last
 		// intact record instead of burying garbage mid-file.

@@ -29,7 +29,8 @@
 // temporary name, fsync, rename, fsync the directory), then the WAL is
 // truncated by rewriting it with only the records above the checkpoint.
 // Recovery loads the newest valid snapshot and replays the WAL after it,
-// stopping cleanly at the first torn or corrupt record.
+// stopping cleanly at the first torn or CRC-corrupt frame; an intact frame
+// that does not decode fails recovery instead (see scanWAL).
 package storage
 
 import (
@@ -161,7 +162,7 @@ func EncodeDecision(slot uint64, d types.Decision) []byte {
 // EncodeCert renders a certificate record payload: the slot and the commit
 // certificate carried as a canonical msg.Commit.
 func EncodeCert(slot uint64, cc *msg.CommitCert) []byte {
-	inner := msg.Encode(&msg.Commit{View: cc.View, X: cc.Value, CC: *cc})
+	inner := msg.Encode(&msg.Commit{CC: *cc})
 	w := wire.NewWriter(len(inner) + 16)
 	w.Uint8(uint8(RecordCert))
 	w.Uvarint(slot)
@@ -214,7 +215,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 			return Record{}, fmt.Errorf("%w: cert: %v", ErrBadRecord, err)
 		}
 		c, ok := m.(*msg.Commit)
-		if !ok || !c.CC.Value.Equal(c.X) || c.CC.View != c.View {
+		if !ok {
 			return Record{}, fmt.Errorf("%w: cert record carries %T", ErrBadRecord, m)
 		}
 		rec.Cert = &c.CC
@@ -229,21 +230,24 @@ func DecodeRecord(payload []byte) (Record, error) {
 // at the first torn frame (truncated, oversized, or CRC-mismatched) — the
 // crash-recovery contract: a torn tail never hides the intact records
 // before it. A frame whose CRC is intact but whose payload fails record
-// decoding also stops the scan: after it the stream framing cannot be
-// trusted.
-func scanWAL(buf []byte) (recs []Record, validOff int64) {
+// decoding also stops the scan, and its decoding error is returned: no
+// crash tears a frame that way, so the record was written by an
+// incompatible version (or corrupted past its CRC), and the records after
+// it — votes among them — must not be dropped as a torn tail.
+func scanWAL(buf []byte) (recs []Record, validOff int64, err error) {
 	rest := buf
 	for len(rest) > 0 {
-		payload, next, err := nextFrame(rest)
-		if err != nil {
+		payload, next, ferr := nextFrame(rest)
+		if ferr != nil {
 			break
 		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
+		rec, derr := DecodeRecord(payload)
+		if derr != nil {
+			err = derr
 			break
 		}
 		recs = append(recs, rec)
 		rest = next
 	}
-	return recs, int64(len(buf) - len(rest))
+	return recs, int64(len(buf) - len(rest)), err
 }

@@ -49,7 +49,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		// The frame scanner must stop cleanly on arbitrary bytes, never
 		// claim more valid prefix than the buffer holds, and every record
 		// it yields must be one the strict decoder accepts.
-		recs, off := scanWAL(data)
+		recs, off, _ := scanWAL(data)
 		if off < 0 || off > int64(len(data)) {
 			t.Fatalf("scanWAL offset %d out of range", off)
 		}

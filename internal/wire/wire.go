@@ -218,13 +218,16 @@ func (r *Reader) BytesField() []byte {
 	return out
 }
 
-// SliceLen reads a slice length prefix, enforcing MaxSlice.
+// SliceLen reads a slice length prefix, enforcing MaxSlice. Every element
+// of every encoded slice takes at least one byte, so a count beyond the
+// unread bytes is rejected too: a few bytes of input can then never make a
+// decoder preallocate a MaxSlice-element slice.
 func (r *Reader) SliceLen() int {
 	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > MaxSlice {
+	if n > MaxSlice || n > uint64(r.Remaining()) {
 		r.fail(ErrOverflow)
 		return 0
 	}

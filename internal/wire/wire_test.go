@@ -114,6 +114,23 @@ func TestSliceLenLimit(t *testing.T) {
 	}
 }
 
+// TestSliceLenBeyondInputRejected: a count larger than the unread bytes
+// cannot be honest (every element takes a byte or more), so it fails before
+// any decoder sizes a slice by it.
+func TestSliceLenBeyondInputRejected(t *testing.T) {
+	w := NewWriter(0)
+	w.Uvarint(3)
+	r := NewReader(append(w.Bytes(), 1, 2))
+	_ = r.SliceLen()
+	if !errors.Is(r.Err(), ErrOverflow) {
+		t.Fatalf("expected ErrOverflow, got %v", r.Err())
+	}
+	r = NewReader(append(w.Bytes(), 1, 2, 3))
+	if n := r.SliceLen(); n != 3 || r.Err() != nil {
+		t.Fatalf("count within the input: got %d, %v", n, r.Err())
+	}
+}
+
 func TestBytesFieldCopies(t *testing.T) {
 	w := NewWriter(0)
 	w.BytesField([]byte("abc"))

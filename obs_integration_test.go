@@ -231,6 +231,14 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	if !second.Has("fastbft_messages_in_total", obs.Labels{"group": "0", "replica": "0", "kind": "propose"}) {
 		t.Fatal("per-kind message counters missing from the JSON snapshot")
 	}
+	// Acks name the value by digest, so their envelopes stay small and
+	// fixed-size whatever the command.
+	ackLabels := obs.Labels{"group": "0", "replica": "0", "kind": "ack"}
+	acks, _ := second.Value("fastbft_messages_out_total", ackLabels)
+	ackBytes, _ := second.Value("fastbft_message_bytes_out_total", ackLabels)
+	if acks == 0 || ackBytes < 32*acks || ackBytes > 64*acks {
+		t.Fatalf("ack envelopes: %v bytes over %v acks, want 32–64 bytes each", ackBytes, acks)
+	}
 
 	// The Prometheus text form must carry the same families, typed and
 	// help-annotated, so a stock scraper can ingest it.

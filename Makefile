@@ -10,13 +10,17 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR10.json
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-json fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
+.PHONY: all build test race bench bench-json fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race deploybench-test loc clean
 
 all: build test
 
-## build: compile every package and command
+## build: compile every package and command, including the deploybench
+## module (a separate module that imports internal packages, so the root
+## `./...` never reaches it; -o /dev/null keeps its single main package
+## from dropping a binary in the tree)
 build:
 	$(GO) build ./...
+	cd deploybench && $(GO) build -o /dev/null ./...
 
 ## test: run the full test suite
 test:
@@ -67,20 +71,20 @@ fuzz:
 ## every process hosting two consensus groups over one transport and one
 ## data dir (the second victim leads one of the groups, so that group's
 ## writes ride the windowed view change), driven by the shard-aware client.
-## Both runs carry -metrics: the parent scrapes every live child's HTTP
-## introspection endpoint mid-workload and fails if a child's decided-slot
-## counters disagree with its own Stats on shutdown
+## In both runs the parent scrapes every live child's /metrics.json
+## mid-workload, and fails unless the survivors agree on every group's
+## apply frontier before shutdown
 smoke:
-	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -procs -metrics -ops 40 -timeout 120s
-	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -procs -shards 2 -metrics -ops 40 -timeout 120s
+	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -ops 40 -timeout 120s
+	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -shards 2 -ops 40 -timeout 120s
 
 ## leaderkill: boot the same multi-process cluster and kill -9 the view-1
 ## leader process mid-workload, never restarting it — the rest of the
 ## workload must commit through the windowed view change, the first
 ## post-kill write must confirm within the recovery bound, and every
-## surviving replica must report regime-timer suspicions on shutdown
+## surviving replica's endpoint must report regime-timer suspicions
 leaderkill:
-	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -procs -leaderkill -metrics -ops 30 -timeout 120s
+	$(GO) run ./cmd/fastbft-cluster -f 1 -t 1 -leaderkill -ops 30 -timeout 120s
 
 ## fmt: rewrite sources with gofmt
 fmt:
@@ -93,9 +97,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet: run go vet over every package
+## vet: run go vet over every package, including the deploybench module
 vet:
 	$(GO) vet ./...
+	cd deploybench && $(GO) vet ./...
 
 ## doc-check: fail if any package lacks a package doc comment (CI runs this
 ## alongside vet; cmd/doccheck is the scanner)
@@ -117,6 +122,16 @@ byz:
 recovery-race:
 	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint' ./internal/storage ./internal/smr
 	$(GO) test -race -run 'TestKVReplicaDurableRestart' .
+
+## deploybench-test: the deploybench module's own tests (they build the
+## benchmark against this tree's internal packages)
+deploybench-test:
+	cd deploybench && $(GO) test ./...
+
+## loc: non-test Go lines outside deploybench — the figure CHANGES.md
+## records per change
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^deploybench/' | xargs cat | wc -l
 
 ## clean: drop build and test caches scoped to this module, plus any
 ## leftover replica data directories from local runs (in a sharded run the

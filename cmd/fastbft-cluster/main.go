@@ -1,41 +1,41 @@
 // Command fastbft-cluster runs a real multi-replica consensus cluster over
 // authenticated TCP on this machine: n replicas decide a value, then a
-// replicated key-value store executes a write workload, reporting
-// throughput and latency.
+// replicated key-value store, one OS process per replica, executes a write
+// workload from a networked client, reporting throughput.
 //
 // Usage:
 //
-//	fastbft-cluster -f 1 -t 1            # n = 4 replicas
+//	fastbft-cluster -f 1 -t 1            # n = 4 replicas, with a replica
+//	                                     # crash mid-workload
 //	fastbft-cluster -f 2 -t 1 -ops 500   # n = 7 replicas, 500 KV writes
-//	fastbft-cluster -f 1 -t 1 -procs     # one OS process per replica,
-//	                                     # served to a networked TCP client,
-//	                                     # with a replica crash mid-workload
-//	fastbft-cluster -f 1 -t 1 -procs -byz garbage
+//	fastbft-cluster -f 1 -t 1 -byz garbage
 //	                                     # one replica process runs the
 //	                                     # garbage adversary (docs/THREAT_MODEL.md)
-//	fastbft-cluster -f 1 -t 1 -procs -byz equivocate
+//	fastbft-cluster -f 1 -t 1 -byz equivocate
 //	                                     # the view-1 leader process equivocates
 //	                                     # on one slot, then goes silent
-//	fastbft-cluster -f 1 -t 1 -procs -leaderkill
+//	fastbft-cluster -f 1 -t 1 -leaderkill
 //	                                     # kill -9 the view-1 leader process
 //	                                     # mid-workload and bound the recovery
-//	fastbft-cluster -f 1 -t 1 -procs -shards 2
+//	fastbft-cluster -f 1 -t 1 -shards 2
 //	                                     # every replica process hosts two
 //	                                     # consensus groups over one transport
 //	                                     # and one data dir; the client routes
 //	                                     # each key to its group's leader
 //
-// With -procs, the KV phase spawns one child process per replica (this same
-// binary, re-executed in replica mode). Each child binds a replica-to-replica
-// listener and a client-facing listener, keeps a durable data directory
-// (write-ahead log + checkpoint snapshots), the parent distributes the peer
-// address table over the children's stdin, and then drives the workload as a
-// real external client: one OS process executing commands against replicas in
-// other OS processes over TCP, confirmed by f+1 matching replies per write.
-// Mid-workload, one replica process is kill -9'd, later restarted from its
-// data directory at its old addresses, and then a different replica is
-// killed — leaving exactly n−f alive, so continued progress proves the
-// recovered replica rejoined consensus.
+// The KV phase spawns one child process per replica (this same binary,
+// re-executed in replica mode). Each child binds a replica-to-replica
+// listener, a client-facing listener and an HTTP introspection endpoint, and
+// keeps a durable data directory (write-ahead log + checkpoint snapshots).
+// The parent distributes the peer address table over the children's stdin,
+// and then drives the workload as a real external client: one OS process
+// executing commands against replicas in other OS processes over TCP,
+// confirmed by f+1 matching replies per write. Mid-workload, one replica
+// process is kill -9'd, later restarted from its data directory at its old
+// addresses, and then a different replica is killed — leaving exactly n−f
+// alive, so continued progress proves the recovered replica rejoined
+// consensus. Every check the parent makes on the replicas reads their
+// /metrics.json endpoints.
 package main
 
 import (
@@ -48,6 +48,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,7 +76,7 @@ func byzKVBatch(client string, seq uint64) fastbft.Value {
 	return smr.EncodeBatch([]smr.Command{smr.Command(msg.Encode(req))})
 }
 
-// replicaEnv marks a process as a replica child of a -procs run. It is
+// replicaEnv marks a process as a replica child of the drill. It is
 // checked before anything else so the same binary (or test binary, via
 // TestMain) serves both roles.
 const replicaEnv = "FASTBFT_CLUSTER_REPLICA"
@@ -99,13 +100,11 @@ func run(args []string) error {
 	f := fs.Int("f", 1, "Byzantine faults tolerated")
 	t := fs.Int("t", 1, "fast-path fault threshold (1..f)")
 	ops := fs.Int("ops", 200, "KV write operations for the throughput phase")
-	procs := fs.Bool("procs", false, "run the KV phase as one OS process per replica, serving a networked client")
-	timeout := fs.Duration("timeout", 2*time.Minute, "hard deadline for the multi-process phase (-procs)")
-	seed := fs.Int64("seed", 1, "deterministic key seed shared with the replica processes (-procs)")
-	byzName := fs.String("byz", "", "corrupt one replica process with the named adversary (requires -procs); see docs/THREAT_MODEL.md. Known: garbage, equivocate")
-	leaderKill := fs.Bool("leaderkill", false, "kill -9 the view-1 leader process mid-workload and bound the recovery (requires -procs)")
+	timeout := fs.Duration("timeout", 2*time.Minute, "hard deadline for the multi-process phase")
+	seed := fs.Int64("seed", 1, "deterministic key seed shared with the replica processes")
+	byzName := fs.String("byz", "", "corrupt one replica process with the named adversary; see docs/THREAT_MODEL.md. Known: garbage, equivocate")
+	leaderKill := fs.Bool("leaderkill", false, "kill -9 the view-1 leader process mid-workload and bound the recovery")
 	shards := fs.Int("shards", 1, "consensus groups per replica process; keys are hash-partitioned and group leaders spread across processes")
-	metrics := fs.Bool("metrics", false, "give every replica process an HTTP introspection endpoint; the parent scrapes them mid-workload and cross-checks decided-slot counters at shutdown (requires -procs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -118,21 +117,11 @@ func run(args []string) error {
 		// one leader per group.
 		return fmt.Errorf("-shards > 1 cannot combine with -byz or -leaderkill")
 	}
-	if *byzName != "" {
-		if !*procs {
-			return fmt.Errorf("-byz requires -procs (the adversary is its own OS process)")
-		}
-		if *byzName != "garbage" && *byzName != "equivocate" {
-			return fmt.Errorf("unknown adversary %q (known: garbage, equivocate)", *byzName)
-		}
+	if *byzName != "" && *byzName != "garbage" && *byzName != "equivocate" {
+		return fmt.Errorf("unknown adversary %q (known: garbage, equivocate)", *byzName)
 	}
-	if *leaderKill {
-		if !*procs {
-			return fmt.Errorf("-leaderkill requires -procs (the leader must be its own OS process to kill)")
-		}
-		if *byzName != "" {
-			return fmt.Errorf("-leaderkill and -byz are mutually exclusive (both spend the fault budget on process %d)", byzProcID)
-		}
+	if *leaderKill && *byzName != "" {
+		return fmt.Errorf("-leaderkill and -byz are mutually exclusive (both spend the fault budget on process %d)", byzProcID)
 	}
 	cfg := fastbft.GeneralizedConfig(*f, *t)
 	fmt.Printf("cluster: %s (paper minimum for f=%d, t=%d)\n", cfg, *f, *t)
@@ -141,13 +130,13 @@ func run(args []string) error {
 		// (its process slot would have to play honest); go straight to the
 		// adversarial multi-process phase.
 		fmt.Printf("byzantine: replica process %d runs the %q adversary\n", byzProcID, *byzName)
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, *byzName, false, 1, *metrics)
+		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, *byzName, false, 1)
 	}
 	if *leaderKill {
 		// The drill's whole point is losing the leader; skip the warm-up
 		// consensus round so the workload starts against a full cluster.
 		fmt.Printf("leaderkill: replica process %d (the view-1 leader) will be kill -9'd mid-workload\n", byzProcID)
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", true, 1, *metrics)
+		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", true, 1)
 	}
 
 	// Phase 1: single-shot consensus over TCP.
@@ -201,78 +190,7 @@ func run(args []string) error {
 	for _, n := range nodes {
 		_ = n.Close()
 	}
-
-	if *procs {
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", false, *shards, *metrics)
-	}
-	return runSingleProcess(cfg, *ops, *shards)
-}
-
-// runSingleProcess is the original KV phase: every replica in this process,
-// driven through an in-process handle.
-func runSingleProcess(cfg fastbft.Config, ops, shards int) error {
-	keys, err := fastbft.GenerateKeys(cfg.N)
-	if err != nil {
-		return err
-	}
-	reps := make([]*fastbft.KVReplica, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		r, err := fastbft.NewKVReplica(fastbft.KVReplicaConfig{
-			Cluster:    cfg,
-			Self:       fastbft.ProcessID(i),
-			Keys:       keys,
-			ListenAddr: "127.0.0.1:0",
-			Shards:     shards,
-		})
-		if err != nil {
-			return err
-		}
-		reps[i] = r
-		addrs[i] = r.Addr()
-	}
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
-	for _, r := range reps {
-		if err := r.SetPeers(addrs); err != nil {
-			return err
-		}
-		if err := r.Start(); err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := reps[0].Set(fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)); err != nil {
-			return err
-		}
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		done := true
-		for _, r := range reps {
-			if r.AppliedOps() < uint64(ops) {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("kv timeout: replica applied %d of %d ops", reps[0].AppliedOps(), ops)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("kv store: %d replicated writes on %d replicas in %.2fs (%.0f ops/s)\n",
-		ops, cfg.N, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-	v, ok := reps[cfg.N-1].Get(fmt.Sprintf("key-%d", ops-1))
-	fmt.Printf("kv check: last key on last replica = %q (present=%v)\n", v, ok)
-	return nil
+	return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", false, *shards)
 }
 
 // child is one spawned replica process and the pipes the parent drives it
@@ -295,10 +213,14 @@ const drillCkptInterval = 8
 const byzProcID = 1
 
 // byzGarbageSlots is how many log slots the "garbage" adversary drives to a
-// malformed decision. The correct replica processes report their
-// MalformedBatches counter on shutdown and the parent requires exactly this
-// many on every one of them.
+// malformed decision. Before shutdown the parent requires exactly this many
+// in every correct replica's fastbft_malformed_batches_total.
 const byzGarbageSlots = 2
+
+// settleTimeout bounds how long the parent polls the survivors' endpoints
+// before shutdown: commands keep applying for a moment after the client's
+// last confirmation, so the counters are polled rather than sampled.
+const settleTimeout = 15 * time.Second
 
 // leaderKillRecoveryBound caps how long the cluster may take to confirm the
 // first write after the view-1 leader is kill -9'd. With the windowed view
@@ -320,25 +242,21 @@ const leaderKillRecoveryBound = 15 * time.Second
 // With byzName non-empty there is no crash drill — the fault budget is spent
 // on replica byzProcID, which runs the named adversary instead of an honest
 // replica. The workload then proves liveness under active Byzantine behavior
-// (every write still confirmed by f+1 correct replicas), and on shutdown the
-// parent collects each correct replica's STATS line and requires the
-// adversary's footprint (the MalformedBatches counter) to be exactly what the
-// attack dictates — evidence the malformed decisions were counted, logged,
-// and skipped rather than silently lost — plus at least one regime-timer
-// suspicion, evidence the workload really rode the windowed view change.
+// (every write still confirmed by f+1 correct replicas).
 // With leaderKill set the drill instead kill -9's the view-1 leader process
 // (byzProcID — the leader of view 1 of every slot) a third of the way in,
 // never restarts it, times how long the next write takes to confirm, and
 // fails if recovery exceeds leaderKillRecoveryBound.
-// With metrics set every honest child additionally binds an HTTP
-// introspection endpoint: the parent scrapes each live child's JSON metrics
-// snapshot halfway through the workload (asserting the staged-latency
-// histograms, fsync/coalescing instruments, per-kind message counters, and
-// view-change counters are really being populated), and on shutdown each
-// child re-scrapes itself and reports a METRICS line the parent checks for
-// agreement between the endpoint's decided-slot counters and the replica's
-// own Stats.
-func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time.Duration, byzName string, leaderKill bool, shards int, metrics bool) error {
+// Every honest child binds an HTTP introspection endpoint. Halfway through
+// the workload the parent scrapes each live one (see scrapeMidWorkload);
+// before shutdown it settles the survivors (see settleSurvivors): the
+// adversary's footprint in the malformed-batch counter must be exactly what
+// the attack dictates — evidence the malformed decisions were counted and
+// skipped rather than silently lost — every survivor must have suspected the
+// leader at least once under -byz and -leaderkill, evidence the workload
+// really rode the windowed view change, and the survivors' apply frontiers
+// must agree.
+func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time.Duration, byzName string, leaderKill bool, shards int) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -383,34 +301,14 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			"-datadir", filepath.Join(dataRoot, fmt.Sprintf("replica-%d", i)),
 			"-shards", strconv.Itoa(shards),
 		}
-		if metrics && !(byzName != "" && i == byzProcID) {
-			// The adversary child has no replica (and so no registry); every
-			// honest child binds an ephemeral introspection endpoint.
-			cargs = append(cargs, "-metricsaddr", "127.0.0.1:0")
-		}
-		if byzName != "" {
-			if i == byzProcID {
-				cargs = append(cargs, "-byz", byzName)
-			} else {
-				// Correct replicas report the adversary's footprint on
-				// shutdown. The corrupted view-1 leader never proposes
-				// honestly, so client commands ride the windowed view
-				// change — a short timer keeps the drill brisk. The garbage
-				// adversary additionally dictates an exact malformed-batch
-				// count; the flag carries it so the child knows when its
-				// counter is final.
-				cargs = append(cargs, "-stats", "-basetimeout", "150ms")
-				if byzName == "garbage" {
-					cargs = append(cargs, "-byzslots", strconv.Itoa(byzGarbageSlots))
-				}
-			}
-		}
-		if leaderKill {
-			// Every replica is honest; the survivors report STATS so the
-			// parent can check the regime timer actually fired, and the short
-			// timer makes failover latency about the mechanism, not the
+		if byzName != "" && i == byzProcID {
+			cargs = append(cargs, "-byz", byzName)
+		} else if byzName != "" || leaderKill {
+			// The view-1 leader is corrupted or dead, so client commands
+			// ride the windowed view change; a short timer keeps the drill
+			// brisk and makes failover latency about the mechanism, not the
 			// default 500ms budget.
-			cargs = append(cargs, "-stats", "-basetimeout", "150ms")
+			cargs = append(cargs, "-basetimeout", "150ms")
 		}
 		cmd := exec.Command(exe, cargs...)
 		cmd.Env = append(os.Environ(), replicaEnv+"=1")
@@ -443,9 +341,9 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 	defer watchdog.Stop()
 
 	// Collect each child's bound addresses, distribute the peer table, wait
-	// for every replica to come up. A metrics-enabled child reports a third
-	// ADDRS field ("-" when the endpoint is off); the adversary child keeps
-	// the two-field form.
+	// for every replica to come up. An honest child reports its metrics
+	// endpoint as a third ADDRS field; the adversary child has no replica
+	// (and so no registry) and reports two.
 	peerAddrs := make([]string, cfg.N)
 	clientAddrs := make([]string, cfg.N)
 	metricsAddrs := make([]string, cfg.N)
@@ -455,7 +353,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			return fmt.Errorf("replica process %d: %w", i, err)
 		}
 		peerAddrs[i], clientAddrs[i] = fields[0], fields[1]
-		if len(fields) >= 3 && fields[2] != "-" {
+		if len(fields) > 2 {
 			metricsAddrs[i] = fields[2]
 		}
 	}
@@ -523,7 +421,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 				return fmt.Errorf("restarting replica process %d: %w", crash1, err)
 			}
 			children[crash1] = c
-			fields, err := c.expect("ADDRS", 2)
+			fields, err := c.expect("ADDRS", 3)
 			if err != nil {
 				return fmt.Errorf("restarted replica %d: %w", crash1, err)
 			}
@@ -532,10 +430,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			}
 			// The peer/client addresses are pinned; the metrics endpoint is
 			// ephemeral and rebinds wherever the OS puts it.
-			metricsAddrs[crash1] = ""
-			if len(fields) >= 3 && fields[2] != "-" {
-				metricsAddrs[crash1] = fields[2]
-			}
+			metricsAddrs[crash1] = fields[2]
 			if err := ready(crash1); err != nil {
 				return err
 			}
@@ -548,7 +443,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			_ = children[crash2].cmd.Wait()
 			fmt.Printf("crash: killed replica process %d — further progress needs the recovered replica\n", crash2)
 		}
-		if metrics && i == ops/2 {
+		if i == ops/2 {
 			// Halfway in, scrape every live replica's introspection endpoint
 			// and require the instruments to be visibly working: in the
 			// default drill crash1 is dead between killAt and restartAt; in
@@ -601,56 +496,34 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 		}
 	}
 	elapsed := time.Since(start)
-	if byzName != "" {
+	dead, wantMalformed := crash2, 0
+	switch {
+	case byzName != "":
 		fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 correct replicas over TCP, with replica process %d running the %q adversary throughout (%.2fs, %.0f ops/s)\n",
 			ops, byzProcID, byzName, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-		// Shut the correct replicas down one by one and collect their STATS
-		// line: every one of them must have decided, counted, and skipped
-		// exactly the malformed slots the adversary drove (the equivocator's
-		// branches are well-formed batches, so its count is zero), and every
-		// one must have suspected the silent leader at least once — the
-		// workload's liveness came through the windowed view change.
-		wantMalformed := 0
+		// The equivocator's branches are well-formed batches, so its
+		// malformed count is zero.
+		dead = byzProcID
 		if byzName == "garbage" {
 			wantMalformed = byzGarbageSlots
 		}
-		if err := collectStats(children, byzProcID, wantMalformed); err != nil {
-			return err
-		}
-		if metrics {
-			if err := collectMetrics(children, byzProcID, metricsAddrs); err != nil {
-				return err
-			}
-		}
-		_ = children[byzProcID].stdin.Close()
-		return nil
-	}
-	if leaderKill {
+	case leaderKill:
 		fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 replicas over TCP, with the view-1 leader kill -9'd a third of the way in and never restarted (%.2fs, %.0f ops/s, %.0fms leader failover)\n",
 			ops, elapsed.Seconds(), float64(ops)/elapsed.Seconds(),
 			float64(leaderKillRecovery.Microseconds())/1000)
-		// The survivors must report at least one regime suspicion each:
-		// two thirds of the workload committed without the view-1 leader,
-		// which is impossible unless the windowed view change carried it.
-		if err := collectStats(children, byzProcID, 0); err != nil {
-			return err
-		}
-		if metrics {
-			return collectMetrics(children, byzProcID, metricsAddrs)
-		}
-		return nil
+		dead = byzProcID
+	default:
+		fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 replicas over TCP, with replica %d kill -9'd and restarted from its data dir and replica %d crashed after it (%.2fs, %.0f ops/s)\n",
+			ops, crash1, crash2, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
 	}
-	fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 replicas over TCP, with replica %d kill -9'd and restarted from its data dir and replica %d crashed after it (%.2fs, %.0f ops/s)\n",
-		ops, crash1, crash2, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-
+	if err := settleSurvivors(metricsAddrs, dead, shards, wantMalformed, byzName != "" || leaderKill); err != nil {
+		return err
+	}
 	// Graceful shutdown: closing stdin tells a child to stop.
 	for i, c := range children {
-		if i != crash2 {
+		if i != dead {
 			_ = c.stdin.Close()
 		}
-	}
-	if metrics {
-		return collectMetrics(children, crash2, metricsAddrs)
 	}
 	return nil
 }
@@ -673,48 +546,6 @@ func (c *child) expect(tag string, argc int) ([]string, error) {
 	return nil, fmt.Errorf("replica exited before %s", tag)
 }
 
-// collectStats shuts down every child except skip (closing stdin asks it to
-// stop), reads each one's STATS line, and requires the malformed-batch
-// counter to equal wantMalformed and the regime-suspicion counter to be at
-// least one — together, evidence that the drill's decisions were audited
-// and that progress came through the windowed view change rather than a
-// live leader.
-func collectStats(children []*child, skip, wantMalformed int) error {
-	for i, c := range children {
-		if i == skip {
-			continue
-		}
-		_ = c.stdin.Close()
-		fields, err := c.expect("STATS", 1)
-		if err != nil {
-			return fmt.Errorf("replica process %d stats: %w", i, err)
-		}
-		stats := make(map[string]string, len(fields))
-		for _, kv := range fields {
-			if k, v, ok := strings.Cut(kv, "="); ok {
-				stats[k] = v
-			}
-		}
-		malformed, err := strconv.Atoi(stats["malformed"])
-		if err != nil {
-			return fmt.Errorf("replica process %d: bad STATS line %v", i, fields)
-		}
-		if malformed != wantMalformed {
-			return fmt.Errorf("replica process %d counted %d malformed batches, want %d", i, malformed, wantMalformed)
-		}
-		regime, err := strconv.Atoi(stats["regime"])
-		if err != nil {
-			return fmt.Errorf("replica process %d: bad STATS line %v", i, fields)
-		}
-		if regime < 1 {
-			return fmt.Errorf("replica process %d reported no regime suspicions; the drill should have forced the windowed view change", i)
-		}
-		fmt.Printf("replica process %d: malformed=%d regime=%d applied=%s\n",
-			i, malformed, regime, stats["applied"])
-	}
-	return nil
-}
-
 // fetchSnapshot scrapes one replica's JSON metrics snapshot over HTTP.
 func fetchSnapshot(addr string) (*obs.Snapshot, error) {
 	cli := &http.Client{Timeout: 5 * time.Second}
@@ -733,17 +564,6 @@ func fetchSnapshot(addr string) (*obs.Snapshot, error) {
 	return &snap, nil
 }
 
-// snapshotDecided sums the decided-slot counter across a replica's groups.
-func snapshotDecided(snap *obs.Snapshot, proc, shards int) uint64 {
-	var decided float64
-	for g := 0; g < shards; g++ {
-		v, _ := snap.Value("fastbft_slots_decided_total",
-			obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(proc)})
-		decided += v
-	}
-	return uint64(decided)
-}
-
 // scrapeMidWorkload requires replica proc's snapshot to show the
 // observability layer fully live mid-drill: the staged request tracer has
 // carried batches all the way to "replied", the WAL recorded real fsyncs and
@@ -758,7 +578,6 @@ func scrapeMidWorkload(addr string, proc, shards int) error {
 		return err
 	}
 	rep := strconv.Itoa(proc)
-	decided := snapshotDecided(snap, proc, shards)
 	var fsyncs, replied uint64
 	for g := 0; g < shards; g++ {
 		gl := obs.Labels{"group": strconv.Itoa(g), "replica": rep}
@@ -787,7 +606,7 @@ func scrapeMidWorkload(addr string, proc, shards int) error {
 			return fmt.Errorf("replica %d group %d: per-kind message counters missing", proc, g)
 		}
 	}
-	if decided == 0 {
+	if snap.Sum("fastbft_slots_decided_total", obs.Labels{"replica": rep}) == 0 {
 		return fmt.Errorf("replica %d: no decided slots on the metrics endpoint mid-workload", proc)
 	}
 	if replied == 0 {
@@ -802,44 +621,61 @@ func scrapeMidWorkload(addr string, proc, shards int) error {
 	return nil
 }
 
-// collectMetrics reads each surviving child's METRICS line — printed on
-// shutdown after the child scrapes its own HTTP endpoint — and requires the
-// endpoint's decided-slot total to agree with the replica's in-process
-// Stats. Disagreement means the registry and the Stats path drifted apart,
-// exactly the torn-counter class of bug the shared registry exists to kill.
-func collectMetrics(children []*child, skip int, metricsAddrs []string) error {
-	for i, c := range children {
-		if i == skip || metricsAddrs[i] == "" {
-			continue
+// settleSurvivors scrapes every surviving replica's endpoint before
+// shutdown, polling for up to settleTimeout until each counted exactly
+// wantMalformed malformed batches over its groups, each suspected the leader
+// at least once if wantRegime, and all agree on every group's apply
+// frontier.
+func settleSurvivors(metricsAddrs []string, dead, shards, wantMalformed int, wantRegime bool) error {
+	deadline := time.Now().Add(settleTimeout)
+	for {
+		frontier, err := checkSurvivors(metricsAddrs, dead, shards, wantMalformed, wantRegime)
+		if err == nil {
+			fmt.Printf("metrics: survivors settled with %d malformed batches each and agree on the apply frontiers %v\n", wantMalformed, frontier)
+			return nil
 		}
-		_ = c.stdin.Close() // idempotent; collectStats may already have closed it
-		fields, err := c.expect("METRICS", 2)
-		if err != nil {
-			return fmt.Errorf("replica process %d metrics: %w", i, err)
+		if time.Now().After(deadline) {
+			return err
 		}
-		kv := make(map[string]string, len(fields))
-		for _, f := range fields {
-			if k, v, ok := strings.Cut(f, "="); ok {
-				kv[k] = v
-			}
-		}
-		decided, err1 := strconv.ParseUint(kv["decided"], 10, 64)
-		statsDecided, err2 := strconv.ParseUint(kv["stats_decided"], 10, 64)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("replica process %d: bad METRICS line %v", i, fields)
-		}
-		if decided != statsDecided {
-			return fmt.Errorf("replica process %d: metrics endpoint reports %d decided slots but Stats reports %d",
-				i, decided, statsDecided)
-		}
-		fmt.Printf("replica process %d: metrics endpoint agrees with Stats (decided=%d)\n", i, decided)
+		time.Sleep(10 * time.Millisecond)
 	}
-	return nil
 }
 
-// replicaMain is the child role of a -procs run: one KV replica with a
-// replica-to-replica listener and a client-facing listener, coordinated with
-// the parent over stdin/stdout (ADDRS out, PEERS in, READY out, EOF to stop).
+// checkSurvivors makes settleSurvivors' checks once and returns the
+// survivors' per-group apply frontier.
+func checkSurvivors(metricsAddrs []string, dead, shards, wantMalformed int, wantRegime bool) ([]float64, error) {
+	var frontier []float64
+	for p, addr := range metricsAddrs {
+		if p == dead || addr == "" {
+			continue
+		}
+		snap, err := fetchSnapshot(addr)
+		if err != nil {
+			return nil, err
+		}
+		rep := strconv.Itoa(p)
+		if n := snap.Sum("fastbft_malformed_batches_total", obs.Labels{"replica": rep}); n != float64(wantMalformed) {
+			return nil, fmt.Errorf("replica process %d counted %v malformed batches, want %d", p, n, wantMalformed)
+		}
+		if wantRegime && snap.Sum("fastbft_regime_timeouts_total", obs.Labels{"replica": rep}) < 1 {
+			return nil, fmt.Errorf("replica process %d reported no regime suspicions; the drill should have forced the windowed view change", p)
+		}
+		applied := make([]float64, shards)
+		for g := range applied {
+			applied[g], _ = snap.Value("fastbft_applied_slots", obs.Labels{"group": strconv.Itoa(g), "replica": rep})
+		}
+		if frontier != nil && !slices.Equal(applied, frontier) {
+			return nil, fmt.Errorf("replica process %d has apply frontiers %v, another survivor %v", p, applied, frontier)
+		}
+		frontier = applied
+	}
+	return frontier, nil
+}
+
+// replicaMain is the child role of the drill: one KV replica with a
+// replica-to-replica listener, a client-facing listener and an ephemeral
+// HTTP introspection endpoint, coordinated with the parent over stdin/stdout
+// (ADDRS out, PEERS in, READY out, EOF to stop).
 func replicaMain(args []string) error {
 	fs := flag.NewFlagSet("fastbft-cluster-replica", flag.ContinueOnError)
 	self := fs.Int("self", 0, "this replica's process ID")
@@ -854,9 +690,6 @@ func replicaMain(args []string) error {
 	baseTimeout := fs.Duration("basetimeout", 0, "per-slot view-1 timer (0 = the replica default)")
 	byzName := fs.String("byz", "", "run the named adversary instead of an honest replica")
 	shards := fs.Int("shards", 1, "consensus groups hosted by this process")
-	stats := fs.Bool("stats", false, "report a STATS line on shutdown")
-	byzSlots := fs.Int("byzslots", 0, "expected malformed-batch count to settle before the STATS line (implies -stats)")
-	metricsAddr := fs.String("metricsaddr", "", "HTTP introspection endpoint listen address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -876,20 +709,13 @@ func replicaMain(args []string) error {
 		SyncMode:           *syncMode,
 		BaseTimeout:        *baseTimeout,
 		Shards:             *shards,
-		MetricsAddr:        *metricsAddr,
+		MetricsAddr:        "127.0.0.1:0",
 	})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = r.Close() }()
-	// The third ADDRS field is the metrics endpoint; "-" keeps the field
-	// positions stable when it is disabled. The parent requires only two
-	// fields, so old parents keep working.
-	maddr := r.MetricsAddr()
-	if maddr == "" {
-		maddr = "-"
-	}
-	fmt.Printf("ADDRS %s %s %s\n", r.Addr(), r.ClientAddr(), maddr)
+	fmt.Printf("ADDRS %s %s %s\n", r.Addr(), r.ClientAddr(), r.MetricsAddr())
 
 	in := bufio.NewScanner(os.Stdin)
 	for in.Scan() {
@@ -912,45 +738,10 @@ func replicaMain(args []string) error {
 	// Serve until the parent closes our stdin (or kills us).
 	for in.Scan() {
 	}
-	if *stats || *byzSlots > 0 {
-		// The parent reads a STATS line before this process exits. The
-		// malformed counter is final once the apply frontier passed the
-		// attacked prefix; commands keep applying for a moment after the
-		// client's last confirmation, so poll briefly instead of sampling.
-		deadline := time.Now().Add(15 * time.Second)
-		for r.Stats().MalformedBatches < uint64(*byzSlots) && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		st := r.Stats()
-		fmt.Printf("STATS malformed=%d applied=%d reproposed=%d regime=%d\n",
-			st.MalformedBatches, st.AppliedCommands, st.Reproposed, st.RegimeTimeouts)
-	}
-	if r.MetricsAddr() != "" {
-		// Prove the endpoint end to end before exiting: scrape our own HTTP
-		// endpoint and require the decided-slot counters it serves to agree
-		// with the in-process Stats. Decisions can still be landing for a
-		// moment after the client's last confirmation, so poll until the two
-		// views settle on the same number.
-		var decided, statsDecided uint64
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			snap, err := fetchSnapshot(r.MetricsAddr())
-			if err != nil {
-				return fmt.Errorf("metrics self-scrape: %w", err)
-			}
-			decided = snapshotDecided(snap, *self, *shards)
-			statsDecided = r.Stats().DecidedSlots
-			if decided == statsDecided || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		fmt.Printf("METRICS decided=%d stats_decided=%d\n", decided, statsDecided)
-	}
 	return in.Err()
 }
 
-// byzReplicaMain is the corrupted-replica role of a -procs -byz run: the
+// byzReplicaMain is the corrupted-replica role of a -byz run: the
 // same stdio coordination protocol as an honest child (ADDRS out, PEERS in,
 // READY out, EOF to stop), but the process slot is driven by a byz.Driver
 // running the named adversarial behavior over a real authenticated TCP

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
@@ -44,9 +45,10 @@ type byzCluster struct {
 	net    *sim.ReplicaNet
 	opts   clusterOpts
 
-	reps   []*smr.Replica
-	stores []*smr.KVStore
-	drv    *Driver
+	reps    []*smr.Replica
+	stores  []*smr.KVStore
+	metrics []*obs.Registry // each correct replica's counters
+	drv     *Driver
 
 	mu      sync.Mutex
 	replies map[string][]*msg.Reply
@@ -75,6 +77,7 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 		opts:    opts,
 		reps:    make([]*smr.Replica, cfg.N),
 		stores:  make([]*smr.KVStore, cfg.N),
+		metrics: make([]*obs.Registry, cfg.N),
 		replies: make(map[string][]*msg.Reply),
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -120,6 +123,10 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 		BaseTimeout:        c.opts.timeout,
 		CheckpointInterval: c.opts.interval,
 	}
+	// A reboot gets a fresh registry: the series would otherwise keep
+	// reading the crashed incarnation.
+	c.metrics[p] = obs.NewRegistry()
+	cfg.Metrics = c.metrics[p]
 	if dir, ok := c.opts.dirs[p]; ok {
 		disk, err := storage.Open(storage.Config{Dir: dir, Mode: storage.SyncAlways})
 		if err != nil {
@@ -134,6 +141,12 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 		c.t.Fatal(err)
 	}
 	c.reps[p] = rep
+}
+
+// counter reads correct replica p's registry series name.
+func (c *byzCluster) counter(p types.ProcessID, name string) uint64 {
+	v, _ := c.metrics[p].Snapshot().Value(name, nil)
+	return uint64(v)
 }
 
 func (c *byzCluster) close() {

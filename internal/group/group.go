@@ -66,11 +66,9 @@ type Config struct {
 	App smr.App
 	// OnCommit, if set, observes decided slots in slot order.
 	OnCommit smr.CommitFunc
-	// BaseTimeout, FixedTimeout, WindowSize, MaxBatch, and
-	// CheckpointInterval parameterize the group's smr.Replica; see
-	// smr.Config.
+	// BaseTimeout, WindowSize, MaxBatch, and CheckpointInterval
+	// parameterize the group's smr.Replica; see smr.Config.
 	BaseTimeout        time.Duration
-	FixedTimeout       bool
 	WindowSize         int
 	MaxBatch           int
 	CheckpointInterval uint64
@@ -171,7 +169,6 @@ func New(cfg Config) (*Group, error) {
 		App:                cfg.App,
 		OnCommit:           cfg.OnCommit,
 		BaseTimeout:        cfg.BaseTimeout,
-		FixedTimeout:       cfg.FixedTimeout,
 		WindowSize:         cfg.WindowSize,
 		MaxBatch:           cfg.MaxBatch,
 		CheckpointInterval: cfg.CheckpointInterval,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
 	"repro/internal/storage"
@@ -141,7 +142,8 @@ func TestMultiGroupCrashRecovery(t *testing.T) {
 	write := func(g int, k, v string, via int) {
 		t.Helper()
 		cmd := smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Client: "w", Seq: applied[g] + 1, Key: k, Value: v})
-		if err := procs[via].groups[g].Replica().Submit(cmd); err != nil {
+		req := &msg.Request{Client: types.ClientID(fmt.Sprintf("w%d-%d", g, applied[g]+1)), Seq: 1, Op: cmd, Group: uint64(g)}
+		if err := procs[via].groups[g].Replica().HandleRequest(req, nil); err != nil {
 			t.Fatal(err)
 		}
 		applied[g]++

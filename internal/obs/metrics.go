@@ -351,6 +351,27 @@ func (s *Snapshot) HistCount(name string, labels Labels) (uint64, bool) {
 	return m.Count, true
 }
 
+// Sum adds up the values of every counter/gauge series called name whose
+// labels include all of match — one replica's counter summed over its
+// groups, say. A nil match sums every series of the name.
+func (s *Snapshot) Sum(name string, match Labels) float64 {
+	var sum float64
+next:
+	for i := range s.Metrics {
+		m := &s.Metrics[i]
+		if m.Name != name {
+			continue
+		}
+		for k, v := range match {
+			if m.Labels[k] != v {
+				continue next
+			}
+		}
+		sum += m.Value
+	}
+	return sum
+}
+
 // Has reports whether the series (name, labels) exists.
 func (s *Snapshot) Has(name string, labels Labels) bool { return s.find(name, labels) != nil }
 

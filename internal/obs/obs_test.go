@@ -144,6 +144,28 @@ func TestRegistryIdempotentAndNil(t *testing.T) {
 	reg.Gauge("same", "", Labels{"g": "1"}) // kind mismatch: must panic
 }
 
+func TestSnapshotSum(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c", "", Labels{"replica": "0", "group": "0"}).Add(2)
+	reg.Counter("c", "", Labels{"replica": "0", "group": "1"}).Add(3)
+	reg.Counter("c", "", Labels{"replica": "1", "group": "0"}).Add(5)
+	reg.Counter("other", "", Labels{"replica": "0"}).Add(7)
+	snap := reg.Snapshot()
+	for _, tc := range []struct {
+		match Labels
+		want  float64
+	}{
+		{Labels{"replica": "0"}, 5},
+		{Labels{"replica": "0", "group": "1"}, 3},
+		{nil, 10},
+		{Labels{"replica": "2"}, 0},
+	} {
+		if got := snap.Sum("c", tc.match); got != tc.want {
+			t.Fatalf("Sum(c, %v) = %v, want %v", tc.match, got, tc.want)
+		}
+	}
+}
+
 // TestPrometheusText checks the exposition format: HELP/TYPE once per
 // name, labeled series, cumulative buckets with le and +Inf, sum/count.
 func TestPrometheusText(t *testing.T) {

@@ -53,9 +53,7 @@ func submitOps(t *testing.T, r *Replica, client string, from, to int) {
 	for i := from; i < to; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-		if err := r.Submit(cmd); err != nil {
-			t.Fatal(err)
-		}
+		submitReq(t, r, fmt.Sprintf("%s-%d", client, i), 1, cmd)
 	}
 }
 
@@ -279,9 +277,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 	submit := func(i int) {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "s", Seq: uint64(i),
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-		if err := reps[0].Submit(cmd); err != nil {
-			t.Fatal(err)
-		}
+		submitReq(t, reps[0], fmt.Sprintf("s-%d", i), 1, cmd)
 		net.Drain(0)
 	}
 

@@ -49,9 +49,7 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 		for i := from; i < to; i++ {
 			cmd := EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: uint64(i),
 				Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d-%s", i, pad)})
-			if err := reps[0].Submit(cmd); err != nil {
-				t.Fatal(err)
-			}
+			submitReq(t, reps[0], fmt.Sprintf("c-%d", i), 1, cmd)
 		}
 	}
 

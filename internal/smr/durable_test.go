@@ -150,12 +150,10 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	}
 
 	// The session table survived too: a retransmission of the last
-	// pre-restart command must not re-execute. Submit it alongside fresh
-	// commands; once the fresh ones applied, the total shows the replay
-	// was deduplicated.
-	if err := g.reps[1].Submit(lastCmd); err != nil {
-		t.Fatal(err)
-	}
+	// pre-restart command must not re-execute. Resend it — same (client,
+	// seq) as submitOps used — alongside fresh commands; once the fresh ones
+	// applied, the total shows the replay was deduplicated.
+	submitReq(t, g.reps[1], fmt.Sprintf("c0-%d", ops-1), 1, lastCmd)
 	submitOps(t, g.reps[0], "c0", ops, ops+6)
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range g.stores {
@@ -264,12 +262,10 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		}
 	}
 	orig := EncodeKV(KVCommand{Op: OpSet, Client: "c0", Seq: 1, Key: "adopted", Value: "pre-crash"})
-	// Submit runs the leader's propose-and-ack synchronously, so the
-	// slot-0 vote record is queued before Submit returns; Barrier makes it
+	// HandleRequest runs the leader's propose-and-ack synchronously, so
+	// the slot-0 vote record is queued before it returns; Barrier makes it
 	// durable before the crash.
-	if err := g.reps[leader].Submit(orig); err != nil {
-		t.Fatal(err)
-	}
+	submitReq(t, g.reps[leader], "c0", 1, orig)
 	if err := g.disks[leader].Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +294,7 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	bait := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 1, Key: "adopted", Value: "post-crash"})
-	if err := g.reps[leader].Submit(bait); err != nil {
-		t.Fatal(err)
-	}
+	submitReq(t, g.reps[leader], "c1", 1, bait)
 
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range g.stores {

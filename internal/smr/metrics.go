@@ -14,11 +14,11 @@ const maxMsgKind = int(msg.KindWindowVote)
 // replicaMetrics are the replica's registry-backed counters and the staged
 // request tracer. The bundle always exists — a nil Config.Metrics registry
 // hands out live, unexported metrics — so the hot path never branches on
-// whether observability was requested, and Stats() reads are atomic
-// (torn-free) either way. Everything here is updated with single atomic
-// instructions; quantities that already live behind r.mu (queue depths,
-// window occupancy) are exported as GaugeFuncs read at scrape time instead
-// of being mirrored into a second source of truth.
+// whether observability was requested. Everything here is updated with
+// single atomic instructions, so scrapes are torn-free; quantities that
+// already live behind r.mu (queue depths, window occupancy) are exported as
+// GaugeFuncs read at scrape time instead of being mirrored into a second
+// source of truth.
 type replicaMetrics struct {
 	decided    *obs.Counter // slots decided locally
 	applied    *obs.Counter // well-formed commands executed

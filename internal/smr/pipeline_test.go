@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -123,9 +124,7 @@ func submitKV(t *testing.T, r *Replica, client string, i int) {
 	t.Helper()
 	cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
 		Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-	if err := r.Submit(cmd); err != nil {
-		t.Fatal(err)
-	}
+	submitReq(t, r, fmt.Sprintf("%s-%d", client, i), 1, cmd)
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +627,8 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestSMRMalformedBatchCounted: a decided value that fails DecodeBatch must
-// advance the log, apply nothing, and be counted on Stats() — previously it
-// was silently swallowed. No-op (empty) decisions must NOT count.
+// advance the log, apply nothing, and be counted in
+// fastbft_malformed_batches_total — previously it was silently swallowed. No-op (empty) decisions must NOT count.
 func TestSMRMalformedBatchCounted(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	scheme := sigcrypto.NewHMAC(cfg.N, 47)
@@ -655,21 +654,100 @@ func TestSMRMalformedBatchCounted(t *testing.T) {
 	}), View: 1, Path: types.FastPath})
 	r.mu.Unlock()
 
-	st := r.Stats()
-	if st.MalformedBatches != 1 {
-		t.Fatalf("MalformedBatches=%d, want 1 (garbage counted once, no-op not counted)", st.MalformedBatches)
+	if n := r.m.malformed.Load(); n != 1 {
+		t.Fatalf("malformed batches=%d, want 1 (garbage counted once, no-op not counted)", n)
 	}
-	if st.AppliedSlots != 3 {
-		t.Fatalf("AppliedSlots=%d, want 3 (malformed and no-op slots still advance the log)", st.AppliedSlots)
+	if n := r.AppliedCount(); n != 3 {
+		t.Fatalf("applied slots=%d, want 3 (malformed and no-op slots still advance the log)", n)
 	}
-	if st.AppliedCommands != 1 {
-		t.Fatalf("AppliedCommands=%d, want 1", st.AppliedCommands)
+	if n := r.m.applied.Load(); n != 1 {
+		t.Fatalf("applied commands=%d, want 1", n)
 	}
-	if st.DecidedSlots != 3 {
-		t.Fatalf("DecidedSlots=%d, want 3", st.DecidedSlots)
+	if n := r.m.decided.Load(); n != 3 {
+		t.Fatalf("decided slots=%d, want 3", n)
 	}
 	if n := store.AppliedOps(); n != 1 {
 		t.Fatalf("store applied %d ops, want 1", n)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Stage tracer order
+// ---------------------------------------------------------------------------
+
+// TestSMRAckQuorumStageNeverFollowsDecide pins the tracer's stage order on
+// the fast path. With every AckSig parked, each slot decides on a fast
+// quorum of acks before any Commit can form; once the AckSigs are released
+// the commit broadcast follows the decide. The decide must itself stamp
+// ackquorum, or ackquorum lands after decided for the same slot and the
+// cumulative stage histograms stop being monotone.
+func TestSMRAckQuorumStageNeverFollowsDecide(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 91)
+	net := sim.NewReplicaNet(cfg.N)
+	reps := make([]*Replica, cfg.N)
+	regs := make([]*obs.Registry, cfg.N)
+	for i := range reps {
+		pid := types.ProcessID(i)
+		regs[i] = obs.NewRegistry()
+		r, err := NewReplica(Config{
+			Cluster:     cfg,
+			Self:        pid,
+			Signer:      scheme.Signer(pid),
+			Verifier:    scheme.Verifier(),
+			Transport:   net.Transport(pid),
+			App:         NewKVStore(),
+			BaseTimeout: time.Hour,
+			WindowSize:  4,
+			Metrics:     regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = r
+	}
+	defer func() {
+		for _, r := range reps {
+			_ = r.Close()
+		}
+	}()
+
+	net.SetHold(func(_, _ types.ProcessID, payload []byte) bool {
+		_, m, ok := OpenEnvelope(payload)
+		return ok && m.Kind() == msg.KindAckSig
+	})
+	const ops = 4 // one slot each, all within keepDecided: no trace is collected
+	for i := 0; i < ops; i++ {
+		submitKV(t, reps[0], "aq", i)
+	}
+	net.Drain(0)
+	for i, r := range reps {
+		if got := r.AppliedCount(); got != ops {
+			t.Fatalf("replica %d applied %d slots with AckSigs parked, want %d via the fast path", i, got, ops)
+		}
+	}
+	net.ReleaseHeld()
+	net.Drain(0)
+
+	for i, r := range reps {
+		r.mu.Lock()
+		for s := range r.decided {
+			aq, dec := r.slots[s].trace.At(obs.StageAckQuorum), r.slots[s].trace.At(obs.StageDecided)
+			if aq == 0 || aq > dec {
+				r.mu.Unlock()
+				t.Fatalf("replica %d slot %d: ackquorum at %dns, decided at %dns; want 0 < ackquorum <= decided", i, s, aq, dec)
+			}
+		}
+		r.mu.Unlock()
+		snap := regs[i].Snapshot()
+		aq, _ := snap.HistCount("fastbft_stage_seconds", obs.Labels{"stage": "ackquorum"})
+		dec, _ := snap.HistCount("fastbft_stage_seconds", obs.Labels{"stage": "decided"})
+		if dec == 0 || aq != dec {
+			t.Fatalf("replica %d: %d ackquorum observations, %d decided; want equal and non-zero", i, aq, dec)
+		}
 	}
 }
 

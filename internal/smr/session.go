@@ -1,8 +1,6 @@
 package smr
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -80,16 +78,6 @@ func decodeRequest(cmd Command) (*msg.Request, bool) {
 		return nil, false
 	}
 	return req, true
-}
-
-// syntheticClient derives a single-use session identity from command
-// content, for commands submitted through the legacy Submit API: identical
-// bytes submitted through any replica map to the same (client, seq) and so
-// still execute exactly once. The "#" prefix keeps the namespace visibly
-// apart from real client identifiers.
-func syntheticClient(cmd Command) types.ClientID {
-	sum := sha256.Sum256(cmd)
-	return types.ClientID("#" + hex.EncodeToString(sum[:12]))
 }
 
 // HandleRequest ingests one external client request:

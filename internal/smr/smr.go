@@ -29,9 +29,8 @@
 // pair; replicas deduplicate by per-client session tables (see session.go),
 // cache the last reply per client for retransmissions, and prune inactive
 // sessions at checkpoint boundaries — so dedup memory is bounded by active
-// clients, not by log length. External clients submit through HandleRequest
-// (see internal/client for a full retransmitting client); Submit wraps raw
-// bytes in a synthetic content-derived session for backward compatibility.
+// clients, not by log length. Clients submit through HandleRequest (see
+// internal/client for a full retransmitting client).
 package smr
 
 import (
@@ -108,11 +107,6 @@ type Config struct {
 	// (and seeds it while no decide latency has been observed yet). The
 	// viewsync default applies when zero.
 	BaseTimeout time.Duration
-	// FixedTimeout disables adaptive leader-suspicion timeouts: the regime
-	// timer always waits the full BaseTimeout (with backoff on repeated
-	// failure) instead of tracking the observed decide latency. Used by
-	// benchmarks to measure the pre-adaptive baseline.
-	FixedTimeout bool
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
 	// [lowestUndecided, lowestUndecided+WindowSize), and starts an instance
@@ -149,7 +143,7 @@ type Config struct {
 	// request-latency histograms under MetricsLabels (see internal/obs).
 	// The replica counts either way — a nil registry hands out live,
 	// unexported metrics — so instrumentation adds no branches to the hot
-	// path and Stats() reads stay torn-free.
+	// path.
 	Metrics *obs.Registry
 	// MetricsLabels are the constant labels of this replica's series
 	// (typically {group: "<k>"} in a sharded deployment).
@@ -158,36 +152,6 @@ type Config struct {
 	// severities; nil logs through the standard library logger with the
 	// historical message text.
 	Logger *obs.Logger
-}
-
-// Stats is a point-in-time snapshot of replica counters (see
-// Replica.Stats).
-type Stats struct {
-	// DecidedSlots counts slots decided locally (consensus or certified
-	// state-transfer tail).
-	DecidedSlots uint64
-	// AppliedSlots is the in-order apply frontier (== AppliedCount).
-	AppliedSlots uint64
-	// AppliedCommands counts well-formed requests executed by the
-	// application.
-	AppliedCommands uint64
-	// MalformedBatches counts decided non-empty slot values that failed
-	// DecodeBatch — evidence of a garbage-proposing (Byzantine) leader.
-	MalformedBatches uint64
-	// Reproposed counts commands returned to the pending queue because the
-	// slot that proposed them decided a different value.
-	Reproposed uint64
-	// InflightCommands is the number of commands currently assigned to live
-	// slot proposals; PendingCommands is the number awaiting assignment.
-	InflightCommands int
-	PendingCommands  int
-	// RegimeTimeouts counts regime-timer fires that found no progress and
-	// pushed the window into a view change (leader suspicions).
-	RegimeTimeouts uint64
-	// RegimeTimeout is the suspicion delay the regime timer would use if
-	// armed now: the adaptive EWMA-derived value (or BaseTimeout when fixed
-	// or unsampled), scaled by the current backoff.
-	RegimeTimeout time.Duration
 }
 
 // Replica is one member of the replicated state machine.
@@ -221,8 +185,8 @@ type Replica struct {
 	commitCond *sync.Cond
 	commitDone bool
 
-	// Counters behind Stats(), registry-backed and atomic (see metrics.go),
-	// plus the staged request tracer.
+	// Registry-backed atomic counters (see metrics.go), plus the staged
+	// request tracer.
 	m  replicaMetrics
 	lg *obs.Logger
 
@@ -423,27 +387,6 @@ func (r *Replica) Close() error {
 	return err
 }
 
-// Submit queues a command for replication. The command is proposed in the
-// next available slot this replica leads or participates in; it stays
-// queued until some slot decides it.
-//
-// Submit wraps the bytes in a synthetic single-use session whose identity
-// derives from the command content, so identical bytes submitted through any
-// replica still execute exactly once. The dedup horizon of synthetic
-// sessions is bounded by checkpoint pruning (see sessionRetentionIntervals);
-// clients that need replies or durable sessions use HandleRequest.
-func (r *Replica) Submit(cmd Command) error {
-	if len(cmd) == 0 {
-		return errors.New("smr: empty command")
-	}
-	return r.HandleRequest(&msg.Request{
-		Client: syntheticClient(cmd),
-		Seq:    1,
-		Op:     []byte(cmd),
-		Group:  r.cfg.Group,
-	}, nil)
-}
-
 // Decided returns the decision for a slot, if any.
 func (r *Replica) Decided(s uint64) (types.Decision, bool) {
 	r.mu.Lock()
@@ -465,25 +408,6 @@ func (r *Replica) PendingCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.pending.Len() + len(r.inflight)
-}
-
-// Stats returns a snapshot of the replica's counters. The counters are
-// registry-backed atomics, so each value is read torn-free; the queue
-// depths and frontier are read under the replica lock as before.
-func (r *Replica) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Stats{
-		DecidedSlots:     r.m.decided.Load(),
-		AppliedSlots:     r.applyPtr,
-		AppliedCommands:  r.m.applied.Load(),
-		MalformedBatches: r.m.malformed.Load(),
-		Reproposed:       r.m.reproposed.Load(),
-		InflightCommands: len(r.inflight),
-		PendingCommands:  r.pending.Len(),
-		RegimeTimeouts:   r.m.regime.Load(),
-		RegimeTimeout:    r.regimeDelayLocked(),
-	}
 }
 
 func (r *Replica) now() core.Time { return core.Time(time.Since(r.start)) }
@@ -930,15 +854,15 @@ func (r *Replica) armRegimeLocked() {
 // base] — so the timeout shrinks toward real latency without ever racing
 // honest-but-slow decides — then doubled per consecutive no-progress fire
 // (capped at 64x), so repeated failures trade detection latency for
-// stability. With FixedTimeout, or before any decide has been observed, the
-// delay is the full base. The caller holds r.mu.
+// stability. Before any decide has been observed the delay is the full
+// base. The caller holds r.mu.
 func (r *Replica) regimeDelayLocked() time.Duration {
 	base := r.cfg.BaseTimeout
 	if base <= 0 {
 		base = viewsync.DefaultBaseTimeout
 	}
 	d := base
-	if !r.cfg.FixedTimeout && r.ewmaDecide > 0 {
+	if r.ewmaDecide > 0 {
 		d = 4 * r.ewmaDecide
 		floor := base / 16
 		if floor < 20*time.Millisecond {
@@ -981,6 +905,9 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 	}
 	r.m.regime.Inc()
 	r.regimeBackoff++
+	if r.regimeBackoff >= 2 {
+		r.noteDecidedAheadLocked()
+	}
 	hi := r.regimeHorizonLocked()
 	for s := r.next; s < hi; s++ {
 		if _, dec := r.decided[s]; dec {
@@ -1001,6 +928,22 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 	}
 	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
+}
+
+// noteDecidedAheadLocked treats a decision beyond a stuck frontier as lag
+// evidence. After a fruitless view change the cluster has most likely
+// moved past a slot this replica cannot decide on its own — a restarted
+// replica whose peers already garbage-collected the slots it missed — and
+// once client traffic stops, no checkpoint or out-of-window message will
+// ever arrive to say so. The caller holds r.mu.
+func (r *Replica) noteDecidedAheadLocked() {
+	var ahead uint64
+	for s := range r.decided {
+		ahead = max(ahead, s)
+	}
+	if ahead > r.next {
+		r.noteBehindLocked(ahead, (r.cfg.Self+1)%types.ProcessID(r.cfg.Cluster.N))
+	}
 }
 
 // regimeHorizonLocked returns the exclusive upper bound of slots a
@@ -1178,7 +1121,13 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 				r.ewmaDecide = (3*r.ewmaDecide + lat) / 4
 			}
 		}
-		r.markStage(sl, obs.StageDecided, time.Now())
+		// A decision implies an ack quorum: on the fast path it is the
+		// decide itself, which can precede the commit broadcast that
+		// otherwise stamps ackquorum. Marks are first-wins, so an earlier
+		// commit-broadcast stamp keeps its time.
+		now := time.Now()
+		r.markStage(sl, obs.StageAckQuorum, now)
+		r.markStage(sl, obs.StageDecided, now)
 		if r.store != nil && !r.recovering {
 			// The decision record just entered the store's write pipeline;
 			// its effect fires once the record is fsynced, which is when the

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -60,6 +61,17 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// submitReq hands cmd to r as the fire-and-forget client request
+// (client, seq). Callers that pipeline many commands give each its own
+// session (seq 1), so the commands may commit in any slot order without a
+// lower sequence number being rejected as stale.
+func submitReq(t *testing.T, r *Replica, client string, seq uint64, cmd Command) {
+	t.Helper()
+	if err := r.HandleRequest(&msg.Request{Client: types.ClientID(client), Seq: seq, Op: cmd}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSMRReplicatesCommands(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	reps, stores, cleanup := buildGroup(t, cfg, 1)
@@ -72,9 +84,7 @@ func TestSMRReplicatesCommands(t *testing.T) {
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i),
 		})
 		for _, r := range reps {
-			if err := r.Submit(cmd); err != nil {
-				t.Fatal(err)
-			}
+			submitReq(t, r, fmt.Sprintf("c0-%d", i), 1, cmd)
 		}
 	}
 	waitFor(t, 30*time.Second, func() bool {
@@ -112,9 +122,7 @@ func TestSMRDeduplicatesResubmittedCommands(t *testing.T) {
 	cmd := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 7, Key: "x", Value: "1"})
 	for i := 0; i < 5; i++ { // submit the same command repeatedly everywhere
 		for _, r := range reps {
-			if err := r.Submit(cmd); err != nil {
-				t.Fatal(err)
-			}
+			submitReq(t, r, "c1", 7, cmd)
 		}
 	}
 	waitFor(t, 30*time.Second, func() bool {
@@ -141,9 +149,7 @@ func TestSMRDelete(t *testing.T) {
 	set := EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: 1, Key: "k", Value: "v"})
 	del := EncodeKV(KVCommand{Op: OpDel, Client: "c", Seq: 2, Key: "k"})
 	for _, r := range reps {
-		if err := r.Submit(set); err != nil {
-			t.Fatal(err)
-		}
+		submitReq(t, r, "c", 1, set)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range stores {
@@ -154,9 +160,7 @@ func TestSMRDelete(t *testing.T) {
 		return true
 	}, "set")
 	for _, r := range reps {
-		if err := r.Submit(del); err != nil {
-			t.Fatal(err)
-		}
+		submitReq(t, r, "c", 2, del)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range stores {
@@ -256,9 +260,7 @@ func TestSMRBatchingAppliesAllCommandsInFewerSlots(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "b", Seq: uint64(i),
 			Key: fmt.Sprintf("bk%d", i), Value: "v"})
-		if err := reps[0].Submit(cmd); err != nil {
-			t.Fatal(err)
-		}
+		submitReq(t, reps[0], fmt.Sprintf("b-%d", i), 1, cmd)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range stores {
@@ -291,12 +293,9 @@ func TestSMROverlappingBatchesStayIdempotent(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "dup", Seq: uint64(i),
 			Key: fmt.Sprintf("dk%d", i), Value: "v"})
-		if err := reps[0].Submit(cmd); err != nil {
-			t.Fatal(err)
-		}
-		if err := reps[2].Submit(cmd); err != nil {
-			t.Fatal(err)
-		}
+		// The same request, (client, seq) included, through both replicas.
+		submitReq(t, reps[0], fmt.Sprintf("dup-%d", i), 1, cmd)
+		submitReq(t, reps[2], fmt.Sprintf("dup-%d", i), 1, cmd)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		for _, st := range stores {

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 // deliveries stay deterministic (lockstep ReplicaNet), but the regime
 // timers are live, so tests can pump the net while wall-clock suspicion
 // drives the view change — the byz-harness idiom.
-func buildTimedLockstepGroup(t *testing.T, cfg types.Config, seed int64, window, maxBatch int, timeout time.Duration) ([]*Replica, []*KVStore, *sim.ReplicaNet) {
+func buildTimedLockstepGroup(t *testing.T, cfg types.Config, seed int64, window, maxBatch int, timeout time.Duration, interval uint64) ([]*Replica, []*KVStore, *sim.ReplicaNet) {
 	t.Helper()
 	scheme := sigcrypto.NewHMAC(cfg.N, seed)
 	net := sim.NewReplicaNet(cfg.N)
@@ -29,15 +30,16 @@ func buildTimedLockstepGroup(t *testing.T, cfg types.Config, seed int64, window,
 		pid := types.ProcessID(i)
 		stores[i] = NewKVStore()
 		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: timeout,
-			WindowSize:  window,
-			MaxBatch:    maxBatch,
+			Cluster:            cfg,
+			Self:               pid,
+			Signer:             scheme.Signer(pid),
+			Verifier:           scheme.Verifier(),
+			Transport:          net.Transport(pid),
+			App:                stores[i],
+			BaseTimeout:        timeout,
+			WindowSize:         window,
+			MaxBatch:           maxBatch,
+			CheckpointInterval: interval,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +84,7 @@ func pumpUntil(t *testing.T, net *sim.ReplicaNet, timeout time.Duration, cond fu
 func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const base = 2 * time.Second
-	reps, stores, net := buildTimedLockstepGroup(t, cfg, 81, 4, 1, base)
+	reps, stores, net := buildTimedLockstepGroup(t, cfg, 81, 4, 1, base, 0)
 	defer func() {
 		for _, r := range reps {
 			_ = r.Close()
@@ -153,7 +155,7 @@ func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const base = 30 * time.Millisecond
-	reps, _, net := buildTimedLockstepGroup(t, cfg, 82, 4, 1, base)
+	reps, _, net := buildTimedLockstepGroup(t, cfg, 82, 4, 1, base, 0)
 	closed := false
 	defer func() {
 		if !closed {
@@ -169,7 +171,7 @@ func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	net.SetHold(func(_, _ types.ProcessID, _ []byte) bool { return true })
 	submitKV(t, reps[0], "hygiene", 1)
 	waitFor(t, 10*time.Second, func() bool {
-		return reps[0].Stats().RegimeTimeouts >= 1
+		return reps[0].m.regime.Load() >= 1
 	}, "the regime timer to fire at least once while the replica is live")
 
 	for _, r := range reps {
@@ -178,12 +180,12 @@ func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	closed = true
 	fired := make([]uint64, len(reps))
 	for i, r := range reps {
-		fired[i] = r.Stats().RegimeTimeouts
+		fired[i] = r.m.regime.Load()
 	}
 	// Several base timeouts of real time: a leaked timer would fire here.
 	time.Sleep(8 * base)
 	for i, r := range reps {
-		if got := r.Stats().RegimeTimeouts; got != fired[i] {
+		if got := r.m.regime.Load(); got != fired[i] {
 			t.Fatalf("replica %d regime timer fired after Close: %d -> %d suspicions", i, fired[i], got)
 		}
 	}
@@ -248,7 +250,7 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 		submitKV(t, reps[0], "shrink", i)
 		waitFor(t, 10*time.Second, appliedEverywhere(uint64(i+1)), "a warm-up op to apply")
 	}
-	if got := reps[0].Stats().RegimeTimeout; got >= base {
+	if got := reps[0].regimeDelay(); got >= base {
 		t.Fatalf("suspicion delay %v has not adapted below BaseTimeout %v after %d decides", got, base, warm)
 	}
 
@@ -261,14 +263,63 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 		submitKV(t, reps[0], "shrink", i)
 		waitFor(t, 20*time.Second, appliedEverywhere(uint64(i+1)), "a post-kill op to commit through the view change")
 	}
-	st := reps[0].Stats()
-	if st.RegimeTimeouts == 0 {
+	suspicions := reps[0].m.regime.Load()
+	if suspicions == 0 {
 		t.Fatal("no regime suspicion fired while committing past a dead leader")
 	}
 	// The delay must have come back down: progress resets the backoff and
 	// fresh decides pull the EWMA toward the real latency, so the replica
 	// is not stuck paying a backed-off timeout per slot forever.
-	if st.RegimeTimeout > base/2 {
-		t.Fatalf("suspicion delay %v stuck high after recovery (base %v, %d suspicions)", st.RegimeTimeout, base, st.RegimeTimeouts)
+	if d := reps[0].regimeDelay(); d > base/2 {
+		t.Fatalf("suspicion delay %v stuck high after recovery (base %v, %d suspicions)", d, base, suspicions)
+	}
+}
+
+// regimeDelay is the suspicion delay the regime timer would use if armed
+// now (the fastbft_regime_timeout_seconds gauge).
+func (r *Replica) regimeDelay() time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.regimeDelayLocked()
+}
+
+// TestSMRLaggardCatchesUpInQuietCluster: a replica that missed slots its
+// peers have since garbage-collected, and then helped decide later slots
+// inside its window, holds decisions beyond a frontier it cannot advance on
+// its own. Once client traffic stops, no checkpoint far enough ahead and no
+// out-of-window message ever arrives as lag evidence, so the regime timer's
+// repeated fruitless fires must fetch state instead.
+func TestSMRLaggardCatchesUpInQuietCluster(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const interval, window = 8, 8
+	reps, stores, net := buildTimedLockstepGroup(t, cfg, 84, window, 1, 30*time.Millisecond, interval)
+	defer func() {
+		for _, r := range reps {
+			_ = r.Close()
+		}
+	}()
+
+	// Slots 0..5 decide without the laggard; slots 6 and 7 — still inside
+	// its window, and below a checkpoint that could count as evidence —
+	// decide with it.
+	const laggard = types.ProcessID(3)
+	net.SetDown(laggard, true)
+	for i := 0; i < window-2; i++ {
+		submitKV(t, reps[0], "lag", i)
+		net.Drain(0)
+	}
+	net.SetDown(laggard, false)
+	for i := window - 2; i < window; i++ {
+		submitKV(t, reps[0], "lag", i)
+		net.Drain(0)
+	}
+	if _, ok := reps[laggard].Decided(window - 1); !ok {
+		t.Fatalf("laggard did not decide slot %d", window-1)
+	}
+	pumpUntil(t, net, 10*time.Second, func() bool {
+		return reps[laggard].AppliedCount() == window
+	}, "the laggard to catch up in a quiet cluster")
+	if !bytes.Equal(stores[laggard].Snapshot(), stores[0].Snapshot()) {
+		t.Fatal("laggard's store diverged after catching up")
 	}
 }

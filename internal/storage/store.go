@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -79,7 +78,7 @@ type Config struct {
 	// Metrics, when set, exports the store's counters and fsync-latency
 	// histogram under MetricsLabels (typically {group: "<k>"}). The store
 	// counts either way — a nil registry hands out live, unexported
-	// metrics — so Stats() is always torn-free.
+	// metrics — so instrumentation adds no branches.
 	Metrics *obs.Registry
 	// MetricsLabels are the constant labels of this store's series.
 	MetricsLabels obs.Labels
@@ -185,20 +184,19 @@ type Store struct {
 	writeSeq   uint64
 	syncedSeq  uint64
 
-	// Counters behind Stats(), registry-backed and atomic (reads are never
-	// torn, even against the flusher and syncer goroutines). recsWritten /
-	// recsSynced track records covered per fsync for the coalescing
-	// histogram; they are writer/syncer-stage values guarded by s.mu.
-	mRecords     *obs.Counter
-	mBatches     *obs.Counter
-	mSyncs       *obs.Counter
-	mInline      *obs.Counter
-	mWALBytes    *obs.Counter
-	mFsyncLat    *obs.Histogram
-	mCoalesce    *obs.Histogram
-	statSyncTime atomic.Int64 // cumulative fsync nanoseconds
-	recsWritten  uint64
-	recsSynced   uint64
+	// Registry-backed counters (atomic: reads are never torn, even against
+	// the flusher and syncer goroutines). recsWritten / recsSynced track
+	// records covered per fsync for the coalescing histogram; they are
+	// writer/syncer-stage values guarded by s.mu.
+	mRecords    *obs.Counter
+	mBatches    *obs.Counter
+	mSyncs      *obs.Counter
+	mInline     *obs.Counter
+	mWALBytes   *obs.Counter
+	mFsyncLat   *obs.Histogram
+	mCoalesce   *obs.Histogram
+	recsWritten uint64
+	recsSynced  uint64
 
 	lg *obs.Logger
 
@@ -335,25 +333,6 @@ func (s *Store) Namespace() string { return s.ns }
 
 // Mode returns the fsync policy.
 func (s *Store) Mode() SyncMode { return s.mode }
-
-// Stats is a point-in-time snapshot of store counters: records appended,
-// flusher batches drained, fsyncs issued, and effects run inline (without
-// a queue hop).
-type Stats struct {
-	Records uint64
-	Batches uint64
-	Syncs   uint64
-	Inline  uint64
-	// SyncTime is the cumulative wall-clock time spent in WAL fsyncs.
-	SyncTime time.Duration
-}
-
-// Stats returns a snapshot of the store's counters. Every field is read
-// atomically — the snapshot is torn-free without taking the store's lock.
-func (s *Store) Stats() Stats {
-	return Stats{Records: s.mRecords.Load(), Batches: s.mBatches.Load(), Syncs: s.mSyncs.Load(),
-		Inline: s.mInline.Load(), SyncTime: time.Duration(s.statSyncTime.Load())}
-}
 
 // Err returns the sticky disk error, if any. Once a write or fsync fails
 // the store stops releasing effects — the replica goes quiet rather than
@@ -761,7 +740,6 @@ func (s *Store) syncUpTo() {
 func (s *Store) recordSync(start time.Time) {
 	d := time.Since(start)
 	s.mSyncs.Inc()
-	s.statSyncTime.Add(d.Nanoseconds())
 	s.mFsyncLat.ObserveDuration(d)
 	s.mu.Lock()
 	covered := s.recsWritten - s.recsSynced

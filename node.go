@@ -151,11 +151,6 @@ type KVReplicaConfig struct {
 	// MaxBatch is the maximum number of pending commands packed into one
 	// slot proposal (default 1, i.e. no batching).
 	MaxBatch int
-	// FixedTimeout disables the adaptive leader-suspicion timer: the regime
-	// timer always waits the full BaseTimeout instead of tracking the
-	// observed decide latency. Useful as a benchmark baseline and for
-	// deployments that want a hard, predictable failover bound.
-	FixedTimeout bool
 	// OnCommit, if set, observes every decided log slot, in slot order.
 	OnCommit func(slot uint64, cmd []byte)
 	// CheckpointInterval, when positive, enables checkpointing: every
@@ -318,7 +313,6 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 			App:                store,
 			OnCommit:           onCommit,
 			BaseTimeout:        cfg.BaseTimeout,
-			FixedTimeout:       cfg.FixedTimeout,
 			WindowSize:         cfg.WindowSize,
 			MaxBatch:           cfg.MaxBatch,
 			CheckpointInterval: cfg.CheckpointInterval,
@@ -509,40 +503,8 @@ func (r *KVReplica) SessionCount() int {
 	return total
 }
 
-// ReplicaStats is a snapshot of a replica's SMR counters: decided and
-// applied slots, executed commands, malformed decided batches (evidence of
-// a garbage-proposing leader), re-proposed commands, and the current
-// in-flight/pending queue sizes.
-type ReplicaStats = smr.Stats
-
-// Stats returns a snapshot of this replica's SMR counters, aggregated
-// across its groups: counters and queue sizes sum; RegimeTimeout reports
-// the largest (most conservative) per-group suspicion delay. Use ShardStats
-// for one group's view.
-func (r *KVReplica) Stats() ReplicaStats {
-	var agg ReplicaStats
-	for _, g := range r.groups {
-		st := g.Replica().Stats()
-		agg.DecidedSlots += st.DecidedSlots
-		agg.AppliedSlots += st.AppliedSlots
-		agg.AppliedCommands += st.AppliedCommands
-		agg.MalformedBatches += st.MalformedBatches
-		agg.Reproposed += st.Reproposed
-		agg.InflightCommands += st.InflightCommands
-		agg.PendingCommands += st.PendingCommands
-		agg.RegimeTimeouts += st.RegimeTimeouts
-		if st.RegimeTimeout > agg.RegimeTimeout {
-			agg.RegimeTimeout = st.RegimeTimeout
-		}
-	}
-	return agg
-}
-
 // Shards returns how many consensus groups the replica hosts.
 func (r *KVReplica) Shards() int { return r.shards }
-
-// ShardStats returns one group's SMR counters.
-func (r *KVReplica) ShardStats(g int) ReplicaStats { return r.groups[g].Replica().Stats() }
 
 // ShardOf returns the group a key routes to on this replica.
 func (r *KVReplica) ShardOf(key string) uint64 { return smr.ShardOf(key, r.shards) }

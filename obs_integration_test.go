@@ -14,25 +14,14 @@ import (
 	"repro/internal/obs"
 )
 
-// registryDecided sums the registry's decided-slot counter across a
-// replica's groups from one snapshot.
-func registryDecided(snap *obs.Snapshot, replica, shards int) uint64 {
-	var sum float64
-	for g := 0; g < shards; g++ {
-		v, _ := snap.Value("fastbft_slots_decided_total",
-			obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(replica)})
-		sum += v
-	}
-	return uint64(sum)
-}
-
-// TestMetricsRegistryShardConsistency pins the one-registry invariant of the
-// observability layer: the per-group counters in the metrics registry, the
-// per-group ShardStats, and the aggregated Stats are three views of the same
-// atomics, so on a sharded replica they must agree exactly — per group and
-// in aggregate — once the deployment quiesces. Before the registry existed,
-// Stats was read field by field from unsynchronized counters; this test is
-// the regression fence for that torn-read class of bug.
+// TestMetricsRegistryShardConsistency pins the registry — the one counter
+// surface — to ground truth on a sharded replica. Once the deployment
+// quiesces, the applied-command counters summed over groups equal the
+// writes the client confirmed, each group's counter equals the commands its
+// store executed, and each group's decided-slot counter equals its apply
+// frontier. Before the registry existed, counters were read field by field
+// from unsynchronized variables; this test is the regression fence for that
+// torn-read class of bug.
 func TestMetricsRegistryShardConsistency(t *testing.T) {
 	cfg := GeneralizedConfig(1, 1) // n = 4
 	const shards = 2
@@ -58,60 +47,41 @@ func TestMetricsRegistryShardConsistency(t *testing.T) {
 	}
 
 	for i, r := range reps {
+		rep := strconv.Itoa(i)
+		check := func(snap *obs.Snapshot) error {
+			if got := snap.Sum("fastbft_commands_applied_total", obs.Labels{"replica": rep}); got != ops {
+				return fmt.Errorf("registry counts %v applied commands, the client confirmed %d", got, ops)
+			}
+			for g := 0; g < shards; g++ {
+				gl := obs.Labels{"group": strconv.Itoa(g), "replica": rep}
+				applied, ok := snap.Value("fastbft_commands_applied_total", gl)
+				if !ok {
+					return fmt.Errorf("group %d: applied counter not in the registry", g)
+				}
+				if n := r.stores[g].AppliedOps(); uint64(applied) != n {
+					return fmt.Errorf("group %d: registry counts %v applied commands, the store %d", g, applied, n)
+				}
+				decided, _ := snap.Value("fastbft_slots_decided_total", gl)
+				frontier, _ := snap.Value("fastbft_applied_slots", gl)
+				if decided != frontier {
+					return fmt.Errorf("group %d: %v slots decided, apply frontier %v", g, decided, frontier)
+				}
+			}
+			return nil
+		}
 		// Decisions can still be landing for a moment after the last client
 		// confirmation (window slots deciding no-ops, followers catching
-		// up), and the two reads below are not one atomic observation — so
-		// poll until the registry view and the Stats view settle on the same
-		// numbers, and only then require exact agreement everywhere.
+		// up), so poll until the replica settles.
 		deadline := time.Now().Add(30 * time.Second)
-		var snap *obs.Snapshot
-		var st ReplicaStats
 		for {
-			snap = r.Metrics().Snapshot()
-			st = r.Stats()
-			if registryDecided(snap, i, shards) == st.DecidedSlots &&
-				st.AppliedCommands == ops {
+			err := check(r.Metrics().Snapshot())
+			if err == nil {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("replica %d: registry decided %d never settled on Stats decided %d (applied %d, want %d)",
-					i, registryDecided(snap, i, shards), st.DecidedSlots, st.AppliedCommands, ops)
+				t.Fatalf("replica %d: %v", i, err)
 			}
 			time.Sleep(5 * time.Millisecond)
-		}
-
-		var shardDecided, shardApplied, regApplied uint64
-		for g := 0; g < shards; g++ {
-			gs := r.ShardStats(g)
-			gl := obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(i)}
-			d, ok := snap.Value("fastbft_slots_decided_total", gl)
-			if !ok {
-				t.Fatalf("replica %d group %d: decided counter not in the registry", i, g)
-			}
-			a, ok := snap.Value("fastbft_commands_applied_total", gl)
-			if !ok {
-				t.Fatalf("replica %d group %d: applied counter not in the registry", i, g)
-			}
-			// Per-group: the registry counter and the ShardStats field must
-			// be the very same number.
-			if uint64(d) != gs.DecidedSlots {
-				t.Fatalf("replica %d group %d: registry decided %d, ShardStats decided %d",
-					i, g, uint64(d), gs.DecidedSlots)
-			}
-			if uint64(a) != gs.AppliedCommands {
-				t.Fatalf("replica %d group %d: registry applied %d, ShardStats applied %d",
-					i, g, uint64(a), gs.AppliedCommands)
-			}
-			shardDecided += gs.DecidedSlots
-			shardApplied += gs.AppliedCommands
-			regApplied += uint64(a)
-		}
-		if shardDecided != st.DecidedSlots {
-			t.Fatalf("replica %d: per-group decided sum %d, aggregate Stats %d", i, shardDecided, st.DecidedSlots)
-		}
-		if shardApplied != st.AppliedCommands || regApplied != st.AppliedCommands {
-			t.Fatalf("replica %d: applied views disagree: shards %d, registry %d, Stats %d",
-				i, shardApplied, regApplied, st.AppliedCommands)
 		}
 	}
 }
@@ -209,17 +179,19 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	decided := func(snap *obs.Snapshot) float64 {
+		return snap.Sum("fastbft_slots_decided_total", obs.Labels{"replica": "0"})
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	var second *obs.Snapshot
 	for {
 		second = scrapeJSON()
-		if registryDecided(second, 0, 1) > registryDecided(first, 0, 1) &&
-			registryDecided(second, 0, 1) > 0 {
+		if decided(second) > decided(first) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("decided counter never advanced between scrapes: first %d, second %d",
-				registryDecided(first, 0, 1), registryDecided(second, 0, 1))
+			t.Fatalf("decided counter never advanced between scrapes: first %v, second %v",
+				decided(first), decided(second))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

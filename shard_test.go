@@ -128,7 +128,8 @@ func TestShardedClusterCrossShardClients(t *testing.T) {
 	for {
 		done := true
 		for _, r := range reps {
-			if r.AppliedOps() < total {
+			// The registry counter ticks just after the store applies.
+			if r.AppliedOps() < total || r.Metrics().Snapshot().Sum("fastbft_commands_applied_total", nil) < total {
 				done = false
 			}
 		}
@@ -152,13 +153,10 @@ func TestShardedClusterCrossShardClients(t *testing.T) {
 				}
 			}
 		}
-		// The aggregated view must be the sum of the per-group views.
-		var sum uint64
-		for g := 0; g < r.Shards(); g++ {
-			sum += r.ShardStats(g).AppliedCommands
-		}
-		if agg := r.Stats().AppliedCommands; agg != sum || sum != total {
-			t.Fatalf("replica %d: aggregate AppliedCommands %d, per-group sum %d, want %d", i, agg, sum, total)
+		// The registry's applied-command counters, summed over groups,
+		// count every command exactly once too.
+		if n := r.Metrics().Snapshot().Sum("fastbft_commands_applied_total", nil); n != total {
+			t.Fatalf("replica %d: registry counts %v applied commands over its groups, want %d", i, n, total)
 		}
 	}
 

@@ -229,8 +229,8 @@ func (s *StaleSnapshotServer) Deliver(d *Driver, from types.ProcessID, slot uint
 }
 
 // CertReplayer is a corrupted process that records the commit certificates
-// the cluster broadcasts (any process receives Commit messages — no
-// protocol deviation needed to harvest them) and replays a certificate
+// the cluster sends it (a process that never acks receives every Commit in
+// full — no protocol deviation needed to harvest them) and replays a certificate
 // decided in one log slot into other slots' envelopes. Slot-salted
 // signatures are the mechanism under test: a certificate from slot j must
 // verify in no other slot, so the replay must change no replica's decision

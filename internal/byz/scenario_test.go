@@ -154,8 +154,8 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 }
 
 // TestByzCommitCertReplaySMR: a corrupted non-leader harvests the commit
-// certificate of a decided slot from the Commit broadcasts any process
-// receives, and replays it inside another slot's envelope. Slot-salted
+// certificate of a decided slot from the full Commits it receives (it
+// never acks, so every correct replica sends it the value), and replays it inside another slot's envelope. Slot-salted
 // signatures must make the certificate worthless outside its own slot: no
 // correct replica may decide the target slot with the replayed value.
 func TestByzCommitCertReplaySMR(t *testing.T) {

@@ -41,15 +41,30 @@ type voteKey struct {
 	digest msg.Digest
 }
 
-// awaitedQuorum is a quorum that is complete for a digest whose value the
-// replica has not seen: a fast quorum of acks (fast) or a commit quorum of
-// ack signatures. Acks name values only by digest, so deciding (or building
-// the commit certificate) waits until a value hashing to the digest arrives,
-// in a Propose or in a Commit's certificate.
+// awaitedQuorum is progress that waits for the value of a digest the
+// replica has not seen. Acks, ack signatures and digest-only Commits name
+// values only by digest, so deciding, building a commit certificate or
+// rebuilding a received one waits until a value hashing to the digest
+// arrives, in a Propose or in a Commit's certificate.
 type awaitedQuorum struct {
 	key  voteKey
-	fast bool
+	kind awaitKind
 }
+
+// awaitKind says what an awaitedQuorum completes into.
+type awaitKind uint8
+
+const (
+	// awaitFast: a fast quorum of acks; decide on the fast path.
+	awaitFast awaitKind = iota
+	// awaitAckSigs: a commit quorum of ack signatures; form the commit
+	// certificate and send it.
+	awaitAckSigs
+	// awaitCert: verified digest-only Commits (see blind); rebuild the
+	// certificate, and decide on the slow path if CommitQuorum processes
+	// sent one.
+	awaitCert
+)
 
 // senderSet counts distinct senders.
 type senderSet map[types.ProcessID]struct{}
@@ -103,6 +118,10 @@ type Replica struct {
 	ackSigs    map[voteKey]*sigcrypto.Set
 	commits    map[voteKey]senderSet
 	commitSent map[voteKey]bool
+	// blind holds the signatures of the first verified digest-only Commit
+	// for a (view, digest) whose value the replica has not seen, until the
+	// value arrives and the full certificate can be rebuilt (awaitCert).
+	blind map[voteKey][]sigcrypto.Signature
 
 	// values holds every value the replica has seen with a verified
 	// digest: proposals it accepted, certificate values, and values
@@ -144,6 +163,7 @@ func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, v
 		ackSigs:    make(map[voteKey]*sigcrypto.Set),
 		commits:    make(map[voteKey]senderSet),
 		commitSent: make(map[voteKey]bool),
+		blind:      make(map[voteKey][]sigcrypto.Signature),
 		values:     make(map[msg.Digest]types.Value),
 		pending:    make(map[types.View][]pendingMsg),
 	}, nil
@@ -338,6 +358,8 @@ func (r *Replica) Deliver(from types.ProcessID, m msg.Message) []Action {
 		return r.onCertAck(from, t)
 	case *msg.Commit:
 		return r.onCommit(from, t)
+	case *msg.CommitDigest:
+		return r.onCommitDigest(from, t)
 	default:
 		// Wish messages belong to the view synchronizer (see Process).
 		return nil
@@ -430,7 +452,7 @@ func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
 	}
 	x, known := r.values[key.digest]
 	if !known {
-		r.await(awaitedQuorum{key: key, fast: true})
+		r.await(awaitedQuorum{key: key, kind: awaitFast})
 		return nil
 	}
 	return r.decide(x, key.view, types.FastPath)
@@ -459,21 +481,53 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 }
 
 // formCommit assembles the commit certificate of a complete ack-signature
-// quorum and broadcasts it, once per (view, digest). The certificate
-// carries the value, so it waits until the value is known.
+// quorum and sends it to every process, once per (view, digest). The
+// certificate carries the value, so it waits until the value is known. A
+// peer that has shown it holds the value gets the digest-only form when
+// that is smaller; every other peer gets the full certificate.
 func (r *Replica) formCommit(key voteKey) []Action {
 	if r.commitSent[key] {
 		return nil
 	}
 	x, known := r.values[key.digest]
 	if !known {
-		r.await(awaitedQuorum{key: key})
+		r.await(awaitedQuorum{key: key, kind: awaitAckSigs})
 		return nil
 	}
 	r.commitSent[key] = true
 	cc := &msg.CommitCert{Value: x.Clone(), View: key.view, Sigs: r.ackSigs[key].Signatures()}
 	r.updateLatestCC(cc)
-	return r.broadcast(&msg.Commit{CC: *cc})
+	full := &msg.Commit{CC: *cc}
+	var short msg.Message = full
+	if len(x) > len(key.digest) {
+		short = &msg.CommitDigest{View: key.view, D: key.digest, Sigs: cc.Sigs}
+	}
+	var out []Action
+	for p := types.ProcessID(0); int(p) < r.cfg.N; p++ {
+		switch {
+		case p == r.id:
+		case r.holds(p, key):
+			out = append(out, SendAction{To: p, Msg: short})
+		default:
+			out = append(out, SendAction{To: p, Msg: full})
+		}
+	}
+	return append(out, r.Deliver(r.id, full)...)
+}
+
+// holds reports whether peer p has shown that it holds the value of key:
+// its Ack, AckSig or Commit for the same (view, digest) arrived. A correct
+// process acks only a proposal it accepted and commits only a value it
+// holds; a faulty one gains nothing by lying.
+func (r *Replica) holds(p types.ProcessID, key voteKey) bool {
+	if _, ok := r.acks[key][p]; ok {
+		return true
+	}
+	if set := r.ackSigs[key]; set != nil && set.Has(p) {
+		return true
+	}
+	_, ok := r.commits[key][p]
+	return ok
 }
 
 func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
@@ -484,20 +538,57 @@ func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
 	}
 	r.updateLatestCC(cc)
 	out := r.learn(d, cc.Value)
-	key := voteKey{view: cc.View, digest: d}
+	return append(out, r.tallyCommit(from, voteKey{view: cc.View, digest: d})...)
+}
+
+// onCommitDigest handles a Commit whose value the sender left out. Once
+// its signatures verify it counts toward the commit quorum like a full
+// Commit, and with the value at hand the full certificate is rebuilt.
+// Without it, the signatures wait in blind for a value hashing to the
+// digest, and so does the decision.
+func (r *Replica) onCommitDigest(from types.ProcessID, m *msg.CommitDigest) []Action {
+	x, known := r.values[m.D]
+	cc := m.Cert(x)
+	if !cc.VerifyDigest(r.verifier, r.th, m.D) {
+		return nil
+	}
+	key := voteKey{view: m.View, digest: m.D}
+	if known {
+		r.updateLatestCC(cc)
+		return r.tallyCommit(from, key)
+	}
+	out := r.tallyCommit(from, key)
+	if _, tracked := r.commits[key]; tracked {
+		if _, ok := r.blind[key]; !ok {
+			r.blind[key] = slices.Clone(m.Sigs)
+		}
+		r.await(awaitedQuorum{key: key, kind: awaitCert})
+	}
+	return out
+}
+
+// tallyCommit counts from's Commit for key.
+func (r *Replica) tallyCommit(from types.ProcessID, key voteKey) []Action {
 	set, ok := r.commits[key]
 	if !ok {
 		if len(r.commits) >= maxTrackedKeys {
-			return out
+			return nil
 		}
 		set = make(senderSet)
 		r.commits[key] = set
 	}
 	set[from] = struct{}{}
-	if len(set) >= r.th.CommitQuorum() {
-		out = append(out, r.decide(cc.Value, cc.View, types.SlowPath)...)
+	return r.decideCommitted(key)
+}
+
+// decideCommitted decides on the slow path once CommitQuorum processes
+// sent a Commit for key and its value is known.
+func (r *Replica) decideCommitted(key voteKey) []Action {
+	x, known := r.values[key.digest]
+	if len(r.commits[key]) < r.th.CommitQuorum() || !known {
+		return nil
 	}
-	return out
+	return r.decide(x, key.view, types.SlowPath)
 }
 
 // digestOf returns ValueDigest(x), reusing the last digest computed when x
@@ -560,12 +651,18 @@ func (r *Replica) complete(d msg.Digest) []Action {
 		}
 		return false
 	})
+	x := r.values[d]
 	var out []Action
 	for _, q := range ready {
-		if q.fast {
-			out = append(out, r.decide(r.values[d], q.key.view, types.FastPath)...)
-		} else {
+		switch q.kind {
+		case awaitFast:
+			out = append(out, r.decide(x, q.key.view, types.FastPath)...)
+		case awaitAckSigs:
 			out = append(out, r.formCommit(q.key)...)
+		case awaitCert:
+			r.updateLatestCC(&msg.CommitCert{Value: x, View: q.key.view, Sigs: r.blind[q.key]})
+			delete(r.blind, q.key)
+			out = append(out, r.decideCommitted(q.key)...)
 		}
 	}
 	return out

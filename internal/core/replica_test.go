@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
 
@@ -255,6 +256,23 @@ func TestFastQuorumWaitsForUnseenValue(t *testing.T) {
 	}
 }
 
+// commitSends returns, per receiver, the kind of the Commit a replica sent.
+func commitSends(t *testing.T, actions []core.Action) map[types.ProcessID]msg.Kind {
+	t.Helper()
+	out := make(map[types.ProcessID]msg.Kind)
+	for _, a := range actions {
+		act, ok := a.(core.SendAction)
+		if !ok || (act.Msg.Kind() != msg.KindCommit && act.Msg.Kind() != msg.KindCommitDigest) {
+			continue
+		}
+		if _, dup := out[act.To]; dup {
+			t.Fatalf("two Commits to %v", act.To)
+		}
+		out[act.To] = act.Msg.Kind()
+	}
+	return out
+}
+
 func TestSlowPathCommitAssembly(t *testing.T) {
 	f := newFixture(types.Generalized(2, 1), 25) // n=7, commit quorum 5
 	r := f.newReplica(t, 0, nil)
@@ -262,14 +280,16 @@ func TestSlowPathCommitAssembly(t *testing.T) {
 	h := msg.ValueDigest(x)
 	d := msg.AckDigest(h, 1)
 	r.Deliver(types.View(1).Leader(f.cfg.N), f.proposal(x))
-	var commits int
+	var acts []core.Action
 	for i := 1; i <= 5; i++ {
 		pid := types.ProcessID(i)
-		acts := r.Deliver(pid, &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(pid).Sign(d)})
-		commits += countKind(acts, msg.KindCommit)
+		acts = append(acts, r.Deliver(pid, &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(pid).Sign(d)})...)
 	}
-	if commits != 1 {
-		t.Fatalf("expected exactly one Commit broadcast, got %d", commits)
+	// One full Commit sent to each peer (a 1-byte value has no smaller
+	// digest form), none to itself, and no broadcast.
+	sent := commitSends(t, acts)
+	if _, toSelf := sent[0]; toSelf || len(sent) != f.cfg.N-1 || countKind(acts, msg.KindCommit) != f.cfg.N-1 {
+		t.Fatalf("expected one Commit send to each of the %d peers, got %v", f.cfg.N-1, sent)
 	}
 	// Forged ack signatures must not count.
 	r2 := f.newReplica(t, 0, nil)
@@ -278,6 +298,129 @@ func TestSlowPathCommitAssembly(t *testing.T) {
 		forged := &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(0).Sign(d)}
 		if countKind(r2.Deliver(pid, forged), msg.KindCommit) != 0 {
 			t.Fatal("forged ack signature produced a commit")
+		}
+	}
+}
+
+// TestCommitDigestToPeersHoldingValue: a replica that forms a commit
+// certificate sends the digest-only form to each peer whose Ack or AckSig
+// for the value arrived, and the full certificate to a peer that showed
+// nothing. A value no longer than its digest goes in full to everyone.
+func TestCommitDigestToPeersHoldingValue(t *testing.T) {
+	f := newFixture(types.Generalized(2, 1), 34) // n=7, commit quorum 5
+	leader := types.View(1).Leader(f.cfg.N)
+	const self, silent = types.ProcessID(0), types.ProcessID(6)
+	for _, tc := range []struct {
+		size   int
+		digest bool
+	}{{4096, true}, {33, true}, {32, false}, {1, false}} {
+		x := make(types.Value, tc.size)
+		for i := range x {
+			x[i] = byte(i + tc.size)
+		}
+		h := msg.ValueDigest(x)
+		r := f.newReplica(t, self, nil)
+		r.Deliver(leader, f.proposal(x))
+		// Peer 5 acks (fast-path Ack only); peers 1..4 send ack signatures,
+		// which with the replica's own complete the commit quorum.
+		r.Deliver(5, &msg.Ack{View: 1, D: h})
+		var acts []core.Action
+		for p := types.ProcessID(1); p <= 4; p++ {
+			acts = append(acts, r.Deliver(p, &msg.AckSig{View: 1, D: h, Phi: f.scheme.Signer(p).Sign(msg.AckDigest(h, 1))})...)
+		}
+		sent := commitSends(t, acts)
+		if len(sent) != f.cfg.N-1 {
+			t.Fatalf("%d-byte value: Commits to %v, want every peer once", tc.size, sent)
+		}
+		want := msg.KindCommit
+		if tc.digest {
+			want = msg.KindCommitDigest
+		}
+		for p := types.ProcessID(1); p <= 5; p++ {
+			if sent[p] != want {
+				t.Errorf("%d-byte value: peer %v that holds it got %s, want %s", tc.size, p, sent[p], want)
+			}
+		}
+		if sent[silent] != msg.KindCommit {
+			t.Errorf("%d-byte value: silent peer got %s, want the full commit", tc.size, sent[silent])
+		}
+		for _, a := range acts {
+			if sa, ok := a.(core.SendAction); ok && sa.Msg.Kind() == msg.KindCommitDigest {
+				cd := sa.Msg.(*msg.CommitDigest)
+				if cd.D != h || !cd.Cert(x).Verify(f.verifier(), f.th) {
+					t.Fatalf("digest-only commit to %v does not rebuild a valid certificate", sa.To)
+				}
+			}
+		}
+	}
+}
+
+// TestCommitDigestWaitsForValue: digest-only Commits count toward the
+// commit quorum of a replica that never saw the value, but it decides only
+// once a value hashing to the digest arrives, and then on the slow path
+// with the full certificate rebuilt. A value with another digest, and
+// digest-only Commits with forged or too few signatures, decide nothing.
+func TestCommitDigestWaitsForValue(t *testing.T) {
+	f := newFixture(types.Generalized(2, 1), 35) // n=7, commit quorum 5
+	leader := types.View(1).Leader(f.cfg.N)
+	const self = types.ProcessID(0)
+	x := types.Value("a value longer than the thirty-two bytes of its digest")
+	y := types.Value("another value, proposed by an equivocating leader")
+	cc := f.commitCert(x, 1)
+	cd := &msg.CommitDigest{View: 1, D: msg.ValueDigest(x), Sigs: cc.Sigs}
+	quorumOf := func(r *core.Replica, m msg.Message) []types.Decision {
+		var out []types.Decision
+		for p := types.ProcessID(1); p <= 5; p++ {
+			out = append(out, decisions(r.Deliver(p, m))...)
+		}
+		return out
+	}
+
+	r := f.newReplica(t, self, nil)
+	if d := quorumOf(r, cd); len(d) != 0 {
+		t.Fatalf("decided on digest-only commits alone: %+v", d)
+	}
+	if d := decisions(r.Deliver(leader, f.proposal(y))); len(d) != 0 {
+		t.Fatalf("decided on a value that does not hash to the digest: %+v", d)
+	}
+	// The late value completes the parked decision: the proposal of x in a
+	// view the replica already acked in is not acked, only supplied.
+	d := decisions(r.Deliver(leader, f.proposal(x)))
+	if len(d) != 1 || d[0].Path != types.SlowPath || !d[0].Value.Equal(x) || d[0].View != 1 {
+		t.Fatalf("late value: want one slow decision of x, got %+v", d)
+	}
+	if got := r.DecisionCert(); got == nil || !got.Value.Equal(x) || !got.Verify(f.verifier(), f.th) {
+		t.Fatalf("no valid certificate rebuilt for the decision: %+v", got)
+	}
+
+	// A full Commit supplies the value too and completes the quorum.
+	r2 := f.newReplica(t, self, nil)
+	for p := types.ProcessID(1); p <= 4; p++ {
+		if len(decisions(r2.Deliver(p, cd))) != 0 {
+			t.Fatal("decided below the commit quorum")
+		}
+	}
+	d = decisions(r2.Deliver(5, &msg.Commit{CC: *cc}))
+	if len(d) != 1 || d[0].Path != types.SlowPath || !d[0].Value.Equal(x) {
+		t.Fatalf("full commit completing the quorum: want one slow decision of x, got %+v", d)
+	}
+
+	// Forged or short signature sets do not count, before or after the
+	// value is known.
+	forged := &msg.CommitDigest{View: 1, D: cd.D, Sigs: make([]sigcrypto.Signature, len(cc.Sigs))}
+	for i, sig := range cc.Sigs {
+		forged.Sigs[i] = f.scheme.Signer(self).Sign(msg.AckDigest(cd.D, 1))
+		forged.Sigs[i].Signer = sig.Signer
+	}
+	short := &msg.CommitDigest{View: 1, D: cd.D, Sigs: cc.Sigs[:f.th.CommitQuorum()-1]}
+	for _, bad := range []*msg.CommitDigest{forged, short} {
+		r3 := f.newReplica(t, self, nil)
+		quorumOf(r3, bad)
+		if d := decisions(r3.Deliver(leader, f.proposal(x))); len(d) != 0 {
+			t.Fatalf("decided through invalid digest-only commits: %+v", d)
+		}
+		if d := quorumOf(r3, bad); len(d) != 0 {
+			t.Fatalf("decided through invalid digest-only commits with the value known: %+v", d)
 		}
 	}
 }

@@ -42,6 +42,10 @@ func Encode(m Message) []byte {
 		encodeSig(w, t.Phi)
 	case *Commit:
 		t.CC.encode(w)
+	case *CommitDigest:
+		w.Uvarint(uint64(t.View))
+		encodeDigest(w, t.D)
+		encodeSigs(w, t.Sigs)
 	case *Wish:
 		w.Uvarint(uint64(t.View))
 	case *Raw:
@@ -165,6 +169,12 @@ func Decode(buf []byte) (Message, error) {
 	case KindCommit:
 		t := &Commit{}
 		t.CC = decodeCommitCert(r)
+		m = t
+	case KindCommitDigest:
+		t := &CommitDigest{}
+		t.View = types.View(r.Uvarint())
+		t.D = decodeDigest(r)
+		t.Sigs = decodeSigs(r)
 		m = t
 	case KindWish:
 		t := &Wish{}

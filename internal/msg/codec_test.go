@@ -78,6 +78,7 @@ func sampleMessages() []Message {
 		&CertRequest{View: 3, X: x, Votes: []SignedVote{sv}},
 		&CertAck{View: 3, D: d, Phi: s.Signer(2).Sign(CertAckDigest(d, 3))},
 		&Commit{CC: *cc},
+		&CommitDigest{View: cc.View, D: d, Sigs: cc.Sigs},
 		&Wish{View: 9},
 		&Raw{View: 4, Proto: ProtoPBFT, Sub: 2, X: x, Payload: []byte{1, 2, 3}},
 		&Checkpoint{CP: sampleCheckpoint(), Phi: s.Signer(1).Sign(CheckpointDigest(sampleCheckpoint()))},
@@ -104,7 +105,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		roundTrip(t, m)
 		covered[m.Kind()] = true
 	}
-	for k := KindPropose; k <= KindWindowVote; k++ {
+	for k := KindPropose; k <= KindCommitDigest; k++ {
 		if !covered[k] {
 			t.Errorf("no sample message of kind %s", k)
 		}
@@ -113,8 +114,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 
 // TestDigestOnlyWireShapes pins the sizes the digest-only encodings exist
 // for: an Ack or AckSig for a 4 KiB value stays under 128 bytes, a Commit
-// carries the value's bytes exactly once, and a digest of any other length
-// is rejected.
+// carries the value's bytes exactly once, a CommitDigest not at all, and a
+// digest of any other length is rejected.
 func TestDigestOnlyWireShapes(t *testing.T) {
 	s := testScheme()
 	x := make(types.Value, 4096)
@@ -131,22 +132,36 @@ func TestDigestOnlyWireShapes(t *testing.T) {
 			t.Errorf("%s for a 4 KiB value encodes in %d bytes, want < 128", m.Kind(), n)
 		}
 	}
-	buf := Encode(&Commit{CC: *sampleCommitCert(s, x, 3)})
+	cc := sampleCommitCert(s, x, 3)
+	buf := Encode(&Commit{CC: *cc})
 	if n := bytes.Count(buf, x); n != 1 {
 		t.Fatalf("commit carries the value %d times, want once", n)
 	}
 	if len(buf) >= 2*len(x) {
 		t.Fatalf("commit encodes in %d bytes for a %d-byte value", len(buf), len(x))
 	}
+	// The digest form carries the certificate's signatures and no value.
+	cd := &CommitDigest{View: cc.View, D: d, Sigs: cc.Sigs}
+	if n := len(Encode(cd)); n >= 256 {
+		t.Errorf("commitdigest for a 4 KiB value encodes in %d bytes, want < 256", n)
+	}
+	if got := cd.Cert(x); !got.VerifyDigest(s.Verifier(), quorum.New(testCfg), d) || !got.Value.Equal(x) {
+		t.Error("certificate rebuilt from a commitdigest does not verify")
+	}
 
 	// A digest field of any length but 32 is malformed.
 	for _, n := range []int{0, 31, 33} {
-		w := wire.NewWriter(64)
-		w.Uint8(uint8(KindAck))
-		w.Uvarint(3)
-		w.BytesField(make([]byte, n))
-		if _, err := Decode(w.Bytes()); err == nil {
-			t.Errorf("ack with a %d-byte digest decoded", n)
+		for _, k := range []Kind{KindAck, KindCommitDigest} {
+			w := wire.NewWriter(64)
+			w.Uint8(uint8(k))
+			w.Uvarint(3)
+			w.BytesField(make([]byte, n))
+			if k == KindCommitDigest {
+				encodeSigs(w, cc.Sigs)
+			}
+			if _, err := Decode(w.Bytes()); err == nil {
+				t.Errorf("%s with a %d-byte digest decoded", k, n)
+			}
 		}
 	}
 }

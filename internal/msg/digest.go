@@ -6,11 +6,13 @@
 // deterministic byte digests each signature covers.
 //
 // A value travels in full only where a receiver may need it: the Propose,
-// the certificates (and so the Commit and the vote records), and the
-// CertRequest. Acks, ack signatures and endorsements name the value by its
-// Digest, and their signatures cover that digest, so a quorum of them
-// certifies exactly the value that hashes to it (collision resistance of
-// SHA-256 is assumed, as for the signatures themselves).
+// the certificates (and so the vote records and a Commit to a peer that
+// may lack the value), and the CertRequest. Acks, ack signatures and
+// endorsements name the value by its Digest, and their signatures cover
+// that digest, so a quorum of them certifies exactly the value that hashes
+// to it (collision resistance of SHA-256 is assumed, as for the signatures
+// themselves). A Commit to a peer that has acked the value travels as a
+// CommitDigest: the peer holds the value and rebuilds the certificate.
 package msg
 
 import (

@@ -68,6 +68,11 @@ const (
 	// (and with it the restored-ack/equivocation guards) is preserved
 	// exactly as if the votes had traveled one by one (see WindowVote).
 	KindWindowVote
+	// KindCommitDigest is a Commit without its value, for a receiver that
+	// has shown it holds the value (see CommitDigest). It is a kind of its
+	// own, not a flag on KindCommit, so a full Commit's encoding is the
+	// same whether or not the digest form exists.
+	KindCommitDigest
 )
 
 // String implements fmt.Stringer.
@@ -107,6 +112,8 @@ func (k Kind) String() string {
 		return "windowwish"
 	case KindWindowVote:
 		return "windowvote"
+	case KindCommitDigest:
+		return "commitdigest"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -214,7 +221,8 @@ func (m *CertAck) InView() types.View { return m.View }
 // assembled a commit certificate; CommitQuorum valid Commit messages for the
 // same (x, v) decide x through the slow path. The certificate already holds
 // x and v, so on the wire the message is the certificate alone and the
-// value travels once.
+// value travels once. A sender sends this full form only to a peer that has
+// not shown it holds x; every other peer gets the CommitDigest form.
 type Commit struct {
 	CC CommitCert
 }
@@ -224,6 +232,33 @@ func (m *Commit) Kind() Kind { return KindCommit }
 
 // InView implements Message.
 func (m *Commit) InView() types.View { return m.CC.View }
+
+// CommitDigest is a Commit whose certificate names the value by its digest
+// D instead of carrying it: the view, D and the CommitQuorum ack
+// signatures, which cover exactly (ack, D, View). A sender uses it only
+// toward a peer whose Ack, AckSig or Commit for (View, D) it has received —
+// a correct process acks only a proposal it accepted, so that peer holds
+// the value and rebuilds the full certificate from it (Cert). It counts
+// toward the commit quorum like a Commit, but no process decides on a
+// digest alone: the value must arrive first.
+type CommitDigest struct {
+	View types.View
+	D    Digest
+	Sigs []sigcrypto.Signature
+}
+
+// Kind implements Message.
+func (m *CommitDigest) Kind() Kind { return KindCommitDigest }
+
+// InView implements Message.
+func (m *CommitDigest) InView() types.View { return m.View }
+
+// Cert returns the certificate with value x. Its signatures cover m.D, so
+// it certifies x only if x hashes to m.D; VerifyDigest with m.D checks the
+// signatures without reading x.
+func (m *CommitDigest) Cert(x types.Value) *CommitCert {
+	return &CommitCert{Value: x, View: m.View, Sigs: m.Sigs}
+}
 
 // Wish is the view-synchronization message: the sender wishes to enter View.
 // Wishes rely on channel authentication only (Section 2.1) and are counted
@@ -291,6 +326,7 @@ var (
 	_ Message = (*CertRequest)(nil)
 	_ Message = (*CertAck)(nil)
 	_ Message = (*Commit)(nil)
+	_ Message = (*CommitDigest)(nil)
 	_ Message = (*Wish)(nil)
 	_ Message = (*WindowWish)(nil)
 	_ Message = (*WindowVote)(nil)

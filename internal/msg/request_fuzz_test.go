@@ -67,8 +67,8 @@ func FuzzDecodeReply(f *testing.F) {
 // FuzzDecodeMessage is the same property for the whole codec: for arbitrary
 // bytes Decode never panics, and every input it accepts re-encodes to
 // exactly itself, whatever its kind. The corpus seeds one encoding of every
-// kind (sampleMessages), including the digest-only acks and endorsements
-// and the single-copy Commit.
+// kind (sampleMessages), including the digest-only acks and endorsements,
+// the single-copy Commit and its digest-only form.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(Encode(m))

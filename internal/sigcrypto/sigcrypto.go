@@ -269,6 +269,12 @@ func (s *Set) Add(v Verifier, sig Signature) bool {
 // Len returns the number of distinct valid signatures collected.
 func (s *Set) Len() int { return len(s.sigs) }
 
+// Has reports whether a valid signature from signer was collected.
+func (s *Set) Has(signer types.ProcessID) bool {
+	_, ok := s.seen[signer]
+	return ok
+}
+
 // Signatures returns a copy of the collected signatures.
 func (s *Set) Signatures() []Signature {
 	out := make([]Signature, len(s.sigs))

@@ -85,11 +85,12 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 //   - leader proposals: the protocol already tolerates an equivocating
 //     leader (correct processes ack at most one proposal per view), and a
 //     recovered leader restarts from its persisted adopted value anyway;
-//   - commit messages: the attached certificate is self-certifying
-//     (CommitQuorum ack signatures, verified by every receiver), and a
-//     conflicting certificate for the same view cannot exist by quorum
-//     intersection — our own ack signature inside it was persisted before
-//     the AckSig ever left the process;
+//   - Commit sends, full or digest-only (one per peer: the digest form
+//     goes to a peer that has acked the value): the certificate is
+//     self-certifying (CommitQuorum ack signatures, verified by every
+//     receiver), and a conflicting certificate for the same view cannot
+//     exist by quorum intersection — our own ack signature inside it was
+//     persisted before the AckSig ever left the process;
 //   - checkpoint digests: the state at a slot is a deterministic function
 //     of the decided log, so a recovered replica can only ever re-sign
 //     the identical digest;

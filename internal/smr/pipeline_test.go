@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -678,7 +679,7 @@ func TestSMRMalformedBatchCounted(t *testing.T) {
 // TestSMRAckQuorumStageNeverFollowsDecide pins the tracer's stage order on
 // the fast path. With every AckSig parked, each slot decides on a fast
 // quorum of acks before any Commit can form; once the AckSigs are released
-// the commit broadcast follows the decide. The decide must itself stamp
+// the Commit sends follow the decide. The decide must itself stamp
 // ackquorum, or ackquorum lands after decided for the same slot and the
 // cumulative stage histograms stop being monotone.
 func TestSMRAckQuorumStageNeverFollowsDecide(t *testing.T) {
@@ -931,4 +932,55 @@ func TestSMRFollowerDecidesWithoutItsPropose(t *testing.T) {
 		t.Fatalf("victim applied %d commands, want %d", got, ops+1)
 	}
 	identical()
+}
+
+// TestSMRSlowPathOnCommitDigests: with every Ack parked, no slot can decide
+// on the fast path, so each decides on Commits — and a replica sends the
+// digest-only form to each peer whose ack signature it has already
+// verified. Every replica must still decide every slot on the slow path,
+// apply the same commands, and hold a full, valid commit certificate for
+// each slot (the one it harvests for state transfer and writes to the WAL).
+func TestSMRSlowPathOnCommitDigests(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const ops = 6
+	reps, stores, _, net, scheme := buildLockstepGroup(t, cfg, 93, 4, 1, 64)
+	defer func() {
+		for _, r := range reps {
+			_ = r.Close()
+		}
+	}()
+	net.SetHold(func(_, _ types.ProcessID, payload []byte) bool {
+		_, m, ok := OpenEnvelope(payload)
+		return ok && m.Kind() == msg.KindAck
+	})
+	leader := types.View(1).Leader(cfg.N)
+	for i := 0; i < ops; i++ {
+		// Values well past the 32-byte digest, so the digest form pays.
+		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "slow", Seq: uint64(i),
+			Key: fmt.Sprintf("k%d", i), Value: strings.Repeat("v", 256)})
+		submitReq(t, reps[leader], fmt.Sprintf("slow-%d", i), 1, cmd)
+		net.Drain(0)
+	}
+	var digests uint64
+	for i, r := range reps {
+		digests += r.m.msgOut[msg.KindCommitDigest].Load()
+		for s := uint64(0); s < ops; s++ {
+			d, ok := r.Decided(s)
+			if !ok || d.Path != types.SlowPath {
+				t.Fatalf("replica %d slot %d: decided=%v path=%v, want slow", i, s, ok, d.Path)
+			}
+			r.mu.Lock()
+			cc := r.certs[s]
+			r.mu.Unlock()
+			if cc == nil || !cc.Value.Equal(d.Value) || !cc.Verify(SlotVerifier(scheme.Verifier(), s), r.th) {
+				t.Fatalf("replica %d slot %d: no valid certificate for the decision", i, s)
+			}
+		}
+		if !bytes.Equal(stores[i].Snapshot(), stores[leader].Snapshot()) {
+			t.Fatalf("replica %d store diverged from the leader's", i)
+		}
+	}
+	if digests == 0 {
+		t.Fatal("no digest-only Commit was sent")
+	}
 }

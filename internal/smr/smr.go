@@ -819,8 +819,10 @@ func (r *Replica) pokeRegimeLocked() {
 }
 
 // workOutstandingLocked reports whether the replica is waiting on the
-// leader regime for anything: queued or in-flight commands, or an undecided
-// instance in the live window. The caller holds r.mu.
+// leader regime for anything: queued or in-flight commands, an undecided
+// instance in the live window, or a decision beyond the frontier (a gap
+// below it that only a view change or a state fetch can fill, even when no
+// request forward ever reached this replica). The caller holds r.mu.
 func (r *Replica) workOutstandingLocked() bool {
 	if r.pending.Len() > 0 || len(r.inflight) > 0 {
 		return true
@@ -830,6 +832,11 @@ func (r *Replica) workOutstandingLocked() bool {
 			continue
 		}
 		if _, dec := r.decided[s]; !dec {
+			return true
+		}
+	}
+	for s := range r.decided {
+		if s >= r.next {
 			return true
 		}
 	}
@@ -1040,6 +1047,20 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 			case *msg.CertRequest, *msg.CertAck:
 				// Stateless verification traffic (see sendOrderedLocked).
 				r.sendOrderedLocked(act.To, r.envOut(s, act.Msg))
+			case *msg.Commit, *msg.CommitDigest:
+				// A Commit, in either form, commits the replica to nothing
+				// a crash could make it contradict (see sendOrderedLocked):
+				// it keeps its place in the send order but skips the fsync.
+				// (A Propose could in principle do the same — the protocol
+				// tolerates equivocating leaders — but letting the propose
+				// wave outrun the rest of the pipeline measurably widens
+				// the window in which a slow replica opens slots on traffic
+				// it cannot yet act on; proposals stay durably gated.)
+				// Sending a Commit is the moment this replica saw an ack
+				// quorum for the slot's value — the tracer's ackquorum
+				// stage (marks are first-wins, so one per slot counts).
+				r.markStage(sl, obs.StageAckQuorum, time.Now())
+				r.sendOrderedLocked(act.To, r.envOut(s, act.Msg))
 			case *msg.Vote:
 				// Coalesced: a windowed view change makes every in-flight
 				// slot vote at once, and the votes of one (view, leader)
@@ -1058,19 +1079,6 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 			case *msg.Ack:
 				r.persistVoteLocked(s, sl)
 				r.broadcastEnvLocked(r.envOut(s, act.Msg))
-			case *msg.Commit:
-				// A commit message commits the replica to nothing a crash
-				// could make it contradict (see sendOrderedLocked): it
-				// keeps its place in the send order but skips the fsync.
-				// (A Propose could in principle do the same — the protocol
-				// tolerates equivocating leaders — but letting the propose
-				// wave outrun the rest of the pipeline measurably widens
-				// the window in which a slow replica opens slots on traffic
-				// it cannot yet act on; proposals stay durably gated.)
-				// A commit broadcast is the moment this replica saw an ack
-				// quorum for the slot's value — the tracer's ackquorum stage.
-				r.markStage(sl, obs.StageAckQuorum, time.Now())
-				r.broadcastOrderedLocked(r.envOut(s, act.Msg))
 			case *msg.Wish:
 				// Coalesced like votes: the wishes of one view collapse
 				// into WindowWish range broadcasts at flush. The slot's own
@@ -1122,9 +1130,9 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 			}
 		}
 		// A decision implies an ack quorum: on the fast path it is the
-		// decide itself, which can precede the commit broadcast that
-		// otherwise stamps ackquorum. Marks are first-wins, so an earlier
-		// commit-broadcast stamp keeps its time.
+		// decide itself, which can precede the Commit sends that otherwise
+		// stamp ackquorum. Marks are first-wins, so an earlier Commit-send
+		// stamp keeps its time.
 		now := time.Now()
 		r.markStage(sl, obs.StageAckQuorum, now)
 		r.markStage(sl, obs.StageDecided, now)

@@ -290,6 +290,20 @@ func (r *Replica) regimeDelay() time.Duration {
 // out-of-window message ever arrives as lag evidence, so the regime timer's
 // repeated fruitless fires must fetch state instead.
 func TestSMRLaggardCatchesUpInQuietCluster(t *testing.T) {
+	testLaggardCatchesUp(t, false)
+}
+
+// TestSMRLaggardCatchesUpWithoutForwards is the quiet-cluster catch-up
+// with every client-request forward to the laggard lost (a Byzantine
+// forwarder, or a client that reached only the leader whose forward was
+// dropped). The laggard then has no pending command of its own: the
+// decisions beyond its frontier are the only work it waits on, and they
+// alone must keep its regime timer armed.
+func TestSMRLaggardCatchesUpWithoutForwards(t *testing.T) {
+	testLaggardCatchesUp(t, true)
+}
+
+func testLaggardCatchesUp(t *testing.T, dropForwards bool) {
 	cfg := types.Generalized(1, 1)
 	const interval, window = 8, 8
 	reps, stores, net := buildTimedLockstepGroup(t, cfg, 84, window, 1, 30*time.Millisecond, interval)
@@ -303,6 +317,12 @@ func TestSMRLaggardCatchesUpInQuietCluster(t *testing.T) {
 	// its window, and below a checkpoint that could count as evidence —
 	// decide with it.
 	const laggard = types.ProcessID(3)
+	if dropForwards {
+		net.SetHold(func(_, to types.ProcessID, payload []byte) bool {
+			s, ok := payloadSlot(payload)
+			return ok && s == ctrlSlot && to == laggard
+		})
+	}
 	net.SetDown(laggard, true)
 	for i := 0; i < window-2; i++ {
 		submitKV(t, reps[0], "lag", i)

@@ -160,13 +160,14 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	}
 	defer func() { _ = cl.Close() }()
 	const ops = 30
+	value4K := strings.Repeat("v", 4096)
 	done := make(chan error, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ops; i++ {
-			if _, err := cl.Set(fmt.Sprintf("sk-%d", i), fmt.Sprintf("sv-%d", i)); err != nil {
+			if _, err := cl.Set(fmt.Sprintf("sk-%d", i), fmt.Sprintf("sv-%d-%s", i, value4K)); err != nil {
 				done <- err
 				return
 			}
@@ -210,6 +211,19 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	ackBytes, _ := second.Value("fastbft_message_bytes_out_total", ackLabels)
 	if acks == 0 || ackBytes < 32*acks || ackBytes > 64*acks {
 		t.Fatalf("ack envelopes: %v bytes over %v acks, want 32–64 bytes each", ackBytes, acks)
+	}
+	// A Commit goes to each peer on its own link, and to a peer that has
+	// acked the value it carries only the value's digest: with 4 KiB values
+	// the digest form stays a few hundred bytes, and it is the common form.
+	kindLabels := func(kind string) obs.Labels { return obs.Labels{"group": "0", "replica": "0", "kind": kind} }
+	digestForms, _ := second.Value("fastbft_messages_out_total", kindLabels("commitdigest"))
+	digestBytes, _ := second.Value("fastbft_message_bytes_out_total", kindLabels("commitdigest"))
+	fullForms, _ := second.Value("fastbft_messages_out_total", kindLabels("commit"))
+	if digestForms == 0 || digestBytes >= 512*digestForms {
+		t.Fatalf("digest-only commits: %v bytes over %v envelopes, want under 512 bytes each", digestBytes, digestForms)
+	}
+	if digestForms <= fullForms {
+		t.Fatalf("%v digest-only commits vs %v full ones, want the digest form to outnumber the full one", digestForms, fullForms)
 	}
 
 	// The Prometheus text form must carry the same families, typed and
